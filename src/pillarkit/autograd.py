@@ -2,12 +2,13 @@
 
 The sort stage is locally a fixed permutation (ties pinned by the stable
 tie-break), so its backward pass just routes each sorted-row gradient to the
-slot it came from; padding rows route onto unused slots and are zeroed.
+slot it came from. Like the forward pass it runs on the occupied slots only,
+one fill-level group at a time; padding slots get zero gradient.
 
-All reductions over a cell's slots run in a canonical order (lexicographic by
-embedded row values), not input order, so parameter gradients are bitwise
-identical under any shuffle of a cell's valid slots and accumulation across
-cells is a fixed sequential fold.
+All reductions over a cell's slots run in a canonical order (by embedded row
+values), not input order, so parameter gradients are bitwise identical under
+any shuffle of a cell's valid slots and accumulation across cells is a fixed
+sequential fold.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ import numpy as np
 
 from .descriptor import (
     AggregationWeights,
+    FillGroup,
     ForwardCache,
     MlpLayer,
     MlpParams,
+    _embed,
+    _fill_groups,
+    _occupied_rows,
+    _to_slots,
     descriptor_forward,
 )
 from .errors import NonFiniteError, TieError, ValidationError
@@ -43,18 +49,29 @@ class Gradients:
     inputs: np.ndarray
 
 
-def _canonical_slot_order(embedded: np.ndarray) -> np.ndarray:
-    """Per-cell slot order ranked lexicographically by embedded row values.
+def _canonical_row_order(embedded: np.ndarray, groups: list[FillGroup]) -> np.ndarray:
+    """Occupied rows, fill group by group, each cell's rows in value order.
 
-    Slots with identical embedded rows contribute identically (or not at all,
-    for ReLU-dead rows), so their relative order cannot change the sums.
+    Rows are ranked by their channel sum, a fixed per-row reduction, so equal
+    rows get equal keys; only cells where distinct rows tie on that key are
+    ranked lexicographically by row values instead. Slots with identical
+    embedded rows contribute identically (or not at all, for ReLU-dead rows),
+    so their relative order cannot change the sums.
     """
-    k, n, c = embedded.shape
-    cell_ids = np.repeat(np.arange(k), n)
-    keys = [embedded[:, :, ch].ravel() for ch in range(c - 1, -1, -1)]
-    keys.append(cell_ids)  # primary key: keep cells contiguous
-    order = np.lexsort(keys).reshape(k, n)
-    return order - (np.arange(k) * n)[:, None]
+    key = embedded.sum(axis=1)
+    parts = []
+    for group in groups:
+        keys = key[group.rows]
+        rank = np.argsort(keys, axis=1, kind="stable")
+        rows = np.take_along_axis(group.rows, rank, axis=1)
+        keys = np.take_along_axis(keys, rank, axis=1)
+        cell, pos = np.nonzero(keys[:, 1:] == keys[:, :-1])
+        differ = (embedded[rows[cell, pos]] != embedded[rows[cell, pos + 1]]).any(axis=1)
+        for i in np.unique(cell[differ]):
+            cell_rows = group.rows[i]
+            rows[i] = cell_rows[np.lexsort(embedded[cell_rows].T[::-1])]
+        parts.append(rows.ravel())
+    return np.concatenate(parts)
 
 
 def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
@@ -66,56 +83,60 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     if cache is None:
         raise ValidationError("forward cache is missing; rerun forward with need_cache=True")
     upstream = np.asarray(upstream, dtype=np.float64)
-    k, n, _ = cache.embedded.shape
-    c = cache.embedded.shape[2]
+    counts = cache.valid_count
+    n = cache.capacity
+    k = counts.shape[0]
+    c = cache.embedded.shape[1]
     if upstream.shape != (k, c):
         raise ValidationError(f"upstream must be ({k}, {c}), got {upstream.shape}")
-    counts = cache.valid_count
-    invalid = np.arange(n)[None, :] >= counts[:, None]
 
-    agg_grad: np.ndarray | None = None
-    if cache.kind == "weighted":
-        w = cache.weights
-        if w.mode == "shared":
-            d_sorted = upstream[:, None, :] * w.values[None, :, None]
-            agg_grad = np.einsum("kc,knc->n", upstream, cache.sorted_values)
+    w = cache.weights.values if cache.kind == "weighted" else None
+    agg_grad = None if w is None else np.zeros_like(w)
+    d_rows = np.empty_like(cache.embedded)
+    for group in cache.groups:
+        up = upstream[group.cells][:, None, :]
+        if cache.kind == "mean":
+            d_rows[group.rows] = up / group.count
+            continue
+        if cache.kind == "max":
+            d_sorted = up
         else:
-            d_sorted = upstream[:, None, :] * w.values[None, :, :]
-            agg_grad = np.einsum("kc,knc->nc", upstream, cache.sorted_values)
-        d_embedded = np.zeros_like(cache.embedded)
-        np.put_along_axis(d_embedded, cache.perm, d_sorted, axis=1)
-        d_embedded[invalid] = 0.0  # padding rows carry no gradient
-    elif cache.kind == "max":
-        d_embedded = np.zeros_like(cache.embedded)
-        np.put_along_axis(d_embedded, cache.max_slot[:, None, :], upstream[:, None, :], axis=1)
-    else:  # mean
-        share = upstream[:, None, :] / counts[:, None, None]
-        d_embedded = np.where(invalid[:, :, None], 0.0, share)
-
-    order = _canonical_slot_order(cache.embedded)
-    order3 = order[:, :, None]
+            w_rows = w[n - group.count :]
+            if w.ndim == 1:
+                d_sorted = up * w_rows[None, :, None]
+                agg_grad[n - group.count :] += np.einsum("kc,knc->n", up[:, 0], group.values)
+            else:
+                d_sorted = up * w_rows[None]
+                agg_grad[n - group.count :] += np.einsum("kc,knc->nc", up[:, 0], group.values)
+        d_block = np.zeros((group.cells.size, group.count, c))
+        np.put_along_axis(d_block, group.perm, d_sorted, axis=1)
+        d_rows[group.rows] = d_block
+    d_embedded = _to_slots(d_rows, counts, n)
 
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
-    dy = np.take_along_axis(d_embedded, np.broadcast_to(order3, d_embedded.shape), axis=1)
+    if not cache.params.layers:  # the canonical order cancels out: inputs are the embedding
+        return Gradients(layers=layer_grads, agg=agg_grad, embedded=d_embedded, inputs=d_embedded)
+
+    order = _canonical_row_order(cache.embedded, cache.groups)
+    dy = d_rows[order]
     for layer, x, z in zip(
         reversed(cache.params.layers),
         reversed(cache.layer_inputs),
         reversed(cache.layer_preacts),
     ):
-        xc = np.take_along_axis(x, np.broadcast_to(order3, x.shape), axis=1)
-        zc = np.take_along_axis(z, np.broadcast_to(order3, z.shape), axis=1)
-        dz = dy * (zc > 0.0) if layer.activation == "relu" else dy
-        c_in, c_out = layer.weight.shape
-        d_weight = xc.reshape(k * n, c_in).T @ dz.reshape(k * n, c_out)
-        d_bias = np.einsum("kno->o", dz)
-        layer_grads.append((d_weight, d_bias))
+        dz = dy * (z[order] > 0.0) if layer.activation == "relu" else dy
+        layer_grads.append((x[order].T @ dz, dz.sum(axis=0)))
         dy = dz @ layer.weight.T
     layer_grads.reverse()
 
     d_input = np.empty_like(dy)
-    np.put_along_axis(d_input, np.broadcast_to(order3, dy.shape), dy, axis=1)
-
-    return Gradients(layers=layer_grads, agg=agg_grad, embedded=d_embedded, inputs=d_input)
+    d_input[order] = dy
+    return Gradients(
+        layers=layer_grads,
+        agg=agg_grad,
+        embedded=d_embedded,
+        inputs=_to_slots(d_input, counts, n),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +248,20 @@ def is_tie_free(
     pins those slots dead, so they stay at zero under the nudge and carry no
     gradient either way.
     """
-    from .descriptor import _mlp_forward_batch
-
-    embedded, _, preacts = _mlp_forward_batch(
-        params, batch.data, batch.valid_count, need_cache=True
-    )
+    counts = batch.valid_count
+    embedded, _, preacts = _embed(params, _occupied_rows(batch.data, counts), need_cache=True)
     slack = margin * step
     final_relu = bool(params.layers) and params.layers[-1].activation == "relu"
-    for k in range(batch.num_cells):
-        n_valid = int(batch.valid_count[k])
-        if n_valid < 2:
-            continue
-        vals = np.sort(embedded[k, :n_valid, :], axis=0)
-        tied = np.diff(vals, axis=0) < slack
+    for group in _fill_groups(counts):
+        vals = np.sort(embedded[group.rows], axis=1)
+        tied = np.diff(vals, axis=1) < slack
         if final_relu:
-            tied &= ~((vals[:-1] == 0.0) & (vals[1:] == 0.0))
+            tied &= ~((vals[:, :-1] == 0.0) & (vals[:, 1:] == 0.0))
         if tied.any():
             return False
     for layer, z in zip(params.layers, preacts):
-        if layer.activation == "relu":
-            valid = np.arange(z.shape[1])[None, :] < batch.valid_count[:, None]
-            if (np.abs(z[valid]) < slack).any():
-                return False
+        if layer.activation == "relu" and (np.abs(z) < slack).any():
+            return False
     return True
 
 

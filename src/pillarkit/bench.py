@@ -62,15 +62,6 @@ class BenchConfig:
         return cls(**known)
 
 
-def _measure(fn, repetitions: int) -> tuple[float, float, bool]:
-    """Median and p90 wall-clock over ``repetitions`` runs after one warmup.
-
-    Also verifies the function result is identical across repetitions.
-    """
-    stats = _measure_interleaved({"only": fn}, repetitions)["only"]
-    return stats
-
-
 def _measure_interleaved(
     fns: dict[str, "callable"], repetitions: int
 ) -> dict[str, tuple[float, float, bool]]:
@@ -115,7 +106,12 @@ def bench_descriptor(config: BenchConfig | None = None) -> dict:
 
 def _bench_inner(config: BenchConfig) -> dict:
     rng = np.random.default_rng(config.seed)
-    report: dict = {"config": config.to_doc(), "outputs_stable": True}
+    report: dict = {
+        "config": config.to_doc(),
+        # pinning needs threadpoolctl; without it the BLAS thread count is left as is
+        "thread_pinning_applied": threadpool_limits is not None and config.pin_single_thread,
+        "outputs_stable": True,
+    }
 
     # full descriptor: shared MLP + aggregation
     data = rng.uniform(-1.0, 1.0, size=(config.num_cells, config.n_points, config.input_channels))

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import (
-    AggregationWeights,
-    MlpParams,
-    aggregate_mean,
-    aggregate_weighted,
-    descriptor_forward,
-    mlp_forward,
-    sort_project,
-)
+from .descriptor import AggregationWeights, MlpParams, _occupied, descriptor_forward
 from .gridding import cell_batch_from_arrays
 
 
@@ -53,16 +45,18 @@ def _random_blocks(
 ):
     """Yield (rng, data, counts, params, weights) blocks of random cells.
 
-    Cells within a block share (N, C) so the whole block can run batched.
-    Alternating blocks use the identity embedding and a random one-layer ReLU
-    MLP, so the suites cover the descriptor with and without ``h``.
+    Cells within a block share (N, C) so the whole block can run batched, and
+    every block holds each fill level 1..N at least once, so each fill-level
+    group of the ragged descriptor is exercised. Alternating blocks use the
+    identity embedding and a random one-layer ReLU MLP, so the suites cover
+    the descriptor with and without ``h``.
     """
     made = 0
     block = 0
     while made < num_cells:
-        k = min(block_size, num_cells - made)
         rng = np.random.default_rng([seed, block])
         n = int(rng.choice(n_choices))
+        k = max(min(block_size, num_cells - made), n)
         c_embed = int(rng.integers(c_range[0], c_range[1] + 1))
         if block % 2 == 0:
             c_in = c_embed
@@ -71,7 +65,9 @@ def _random_blocks(
             c_in = int(rng.integers(2, 10))
             params = MlpParams.create(c_in, (c_embed,), activation="relu", seed=block)
         data = rng.standard_normal((k, n, c_in))
-        counts = rng.integers(1, n + 1, size=k)
+        counts = rng.permutation(
+            np.concatenate([np.arange(1, n + 1), rng.integers(1, n + 1, size=k - n)])
+        )
         weights = AggregationWeights(rng.standard_normal(n))
         yield rng, data, counts, params, weights
         made += k
@@ -125,28 +121,34 @@ def run_sorted_contract_suite(
     n_choices: tuple[int, ...] = (5, 32),
     c_range: tuple[int, int] = (1, 16),
 ) -> SuiteResult:
-    """Columns non-decreasing over the valid region; valid multisets preserved."""
+    """The dense sorted matrices of a batched forward, at every fill level.
+
+    Per cell: padding rows first and zero, occupied rows bitwise equal to an
+    independent ascending sort of the cell's embedded valid slots (columns
+    non-decreasing, multisets preserved), and every sorted value read back
+    from a bijective per-channel source-slot permutation.
+    """
     cases = failures = 0
-    for _, data, counts, params, _ in _random_blocks(num_cells, seed, n_choices, c_range):
-        for k in range(data.shape[0]):
-            n_valid = int(counts[k])
-            cell = data[k].copy()
-            cell[n_valid:] = 0.0
-            embedded = mlp_forward(params, cell, n_valid)
-            sfm = sort_project(embedded, n_valid)
-            n = cell.shape[0]
-            valid_rows = sfm.values[n - n_valid :]
-            ok = bool((np.diff(valid_rows, axis=0) >= 0.0).all())
-            ok = ok and np.array_equal(
-                np.sort(embedded[:n_valid], axis=0), valid_rows
-            )
-            ok = ok and all(
-                np.array_equal(np.sort(sfm.perm[:, ch]), np.arange(n))
-                for ch in range(sfm.perm.shape[1])
-            )
-            ok = ok and not sfm.values[: n - n_valid].any()
-            cases += 1
-            failures += int(not ok)
+    for _, data, counts, params, weights in _random_blocks(num_cells, seed, n_choices, c_range):
+        _, cache = descriptor_forward(params, weights, cell_batch_from_arrays(data, counts))
+        n = data.shape[1]
+        occupied = _occupied(counts, n)
+        expected = np.full((data.shape[0], n, cache.embedded.shape[1]), np.inf)
+        expected[occupied] = cache.embedded
+        expected = np.sort(expected, axis=1)  # occupied values ascending, padding last
+        row = np.arange(n)[None, :]
+        pad = n - counts[:, None]
+        rotate = (row - pad) % n  # move the padding rows first
+        expected = np.take_along_axis(expected, rotate[:, :, None], axis=1)
+        expected[row < pad] = 0.0
+        ok = np.all(cache.sorted_values.view(np.uint64) == expected.view(np.uint64), axis=(1, 2))
+        for group in cache.groups:
+            slots = np.arange(group.count)[:, None]
+            bijective = (np.sort(group.perm, axis=1) == slots).all(axis=(1, 2))
+            read_back = np.take_along_axis(cache.embedded[group.rows], group.perm, axis=1)
+            ok[group.cells] &= bijective & (read_back == group.values).all(axis=(1, 2))
+        cases += ok.size
+        failures += int(ok.size - ok.sum())
     return SuiteResult("sorted-matrix-contract", cases, failures)
 
 
@@ -183,21 +185,29 @@ def run_mean_consistency_suite(
     n_choices: tuple[int, ...] = (5, 32),
     c_range: tuple[int, int] = (1, 32),
 ) -> SuiteResult:
-    """Uniform 1/n weights on the occupied rows must equal the mean exactly."""
+    """Uniform 1/n weights on the occupied rows must equal the mean exactly.
+
+    Weights are shared by a batch, so each fill level n of a block runs the
+    weighted descriptor with those weights over the whole block, and its
+    n-point cells are compared with the same cells of one mean pass.
+    """
     cases = failures = 0
     for _, data, counts, params, _ in _random_blocks(num_cells, seed, n_choices, c_range):
-        for k in range(data.shape[0]):
-            n_valid = int(counts[k])
-            cell = data[k].copy()
-            cell[n_valid:] = 0.0
-            embedded = mlp_forward(params, cell, n_valid)
-            n = cell.shape[0]
+        batch = cell_batch_from_arrays(data, counts)
+        means, _ = descriptor_forward(params, None, batch, "mean", need_cache=False)
+        n = data.shape[1]
+        for level in np.unique(counts):
             w = np.zeros(n)
-            w[n - n_valid :] = 1.0 / n_valid
-            via_weighted = aggregate_weighted(AggregationWeights(w), sort_project(embedded, n_valid))
-            via_mean = aggregate_mean(embedded, n_valid)
-            cases += 1
-            failures += int(not np.array_equal(via_weighted, via_mean))
+            w[n - level :] = 1.0 / level
+            via_weighted, _ = descriptor_forward(
+                params, AggregationWeights(w), batch, need_cache=False
+            )
+            cells = counts == level
+            same = np.all(
+                via_weighted[cells].view(np.uint64) == means[cells].view(np.uint64), axis=1
+            )
+            cases += same.size
+            failures += int(same.size - same.sum())
     return SuiteResult("mean-consistency", cases, failures)
 
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +44,6 @@ EXIT_IO = 3
 EXIT_CHECK_FAILED = 4
 EXIT_DIVERGED = 5
 
-FEATURIZE_CHUNK = 2048  # cells per worker task; fixed so results never depend on pool size
-
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -61,14 +57,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("config root must be a JSON object")
     return doc
-
-
-def _num_workers() -> int:
-    raw = os.environ.get("PILLARKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValidationError(f"PILLARKIT_THREADS must be an integer, got {raw!r}") from exc
 
 
 def _grid_spec(config: dict, args) -> GridSpec:
@@ -103,42 +91,6 @@ def _descriptor_setup(
     return params, weights, kind
 
 
-def _chunked_forward(
-    params: MlpParams,
-    weights: AggregationWeights | None,
-    batch: CellBatch,
-    kind: str,
-    workers: int,
-) -> np.ndarray:
-    """Forward over fixed-size cell chunks, optionally on a thread pool.
-
-    Chunk boundaries are constant and every chunk writes a pre-assigned output
-    slice, so the features are identical for any pool size.
-    """
-    k = batch.num_cells
-    c_out = params.output_channels(batch.num_channels)
-    features = np.zeros((k, c_out))
-    spans = [(a, min(a + FEATURIZE_CHUNK, k)) for a in range(0, k, FEATURIZE_CHUNK)]
-
-    def run(span: tuple[int, int]) -> None:
-        a, b = span
-        sub = CellBatch(
-            data=batch.data[a:b],
-            valid_count=batch.valid_count[a:b],
-            cell_coords=batch.cell_coords[a:b],
-            spec=batch.spec,
-        )
-        features[a:b], _ = descriptor_forward(params, weights, sub, kind, need_cache=False)
-
-    if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    return features
-
-
 def cmd_featurize(args) -> int:
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
@@ -151,10 +103,7 @@ def cmd_featurize(args) -> int:
     batch = build_cell_batch(cloud, spec)
     params, weights, kind = _descriptor_setup(config, args, batch, seed)
 
-    if batch.num_cells:
-        features = _chunked_forward(params, weights, batch, kind, _num_workers())
-    else:
-        features = np.zeros((0, params.output_channels(spec.decorated_channels(cloud.num_channels))))
+    features, _ = descriptor_forward(params, weights, batch, kind, need_cache=False)
     fmap = scatter_to_grid(features, batch.cell_coords, spec)
     blob, header = fmap.save(out_dir / "featuremap")
 

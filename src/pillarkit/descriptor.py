@@ -12,6 +12,11 @@ Layout convention: a cell holds ``capacity`` slots; slots at index >=
 ``valid_count`` are structural zeros. Sorted matrices place those padding
 zeros at the LOW row indices, so the last row always carries the per-channel
 maximum of the real points regardless of fill level.
+
+Execution is ragged: the batched descriptor computes only the occupied slots.
+It embeds the occupied rows, then sorts and combines the cells in groups of
+equal fill level c, where the padding rows of the dense sorted matrix would
+only add zero terms; a group of c-point cells uses the last c weight rows.
 """
 
 from __future__ import annotations
@@ -188,6 +193,24 @@ def _check_padding(cell: np.ndarray, valid_count: int) -> None:
         raise ValidationError("slots at index >= valid_count must be zero")
 
 
+def _occupied(counts: np.ndarray, n: int) -> np.ndarray:
+    """(K, N) mask of the occupied slots."""
+    return np.arange(n)[None, :] < counts[:, None]
+
+
+def _occupied_rows(data: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The occupied slots of (K, N, C) slot data as cell-major rows (P, C)."""
+    k, n, c = data.shape
+    return np.take(data.reshape(k * n, c), np.flatnonzero(_occupied(counts, n)), axis=0)
+
+
+def _to_slots(rows: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Scatter cell-major occupied rows (P, C) into zero-padded (K, N, C) slots."""
+    out = np.zeros((counts.shape[0], n, rows.shape[1]))
+    out[_occupied(counts, n)] = rows
+    return out
+
+
 def mlp_forward(params: MlpParams, cell: np.ndarray, valid_count: int) -> np.ndarray:
     """Embed one cell's valid slots through the shared MLP.
 
@@ -195,36 +218,83 @@ def mlp_forward(params: MlpParams, cell: np.ndarray, valid_count: int) -> np.nda
     """
     cell = _as_slots(cell)
     _check_padding(cell, valid_count)
-    counts = np.asarray([valid_count], dtype=np.int64)
-    out, _, _ = _mlp_forward_batch(params, cell[None, :, :], counts, need_cache=False)
-    return out[0]
+    out, _, _ = _embed(params, cell[:valid_count], need_cache=False)
+    return _to_slots(out, np.asarray([valid_count]), cell.shape[0])[0]
 
 
-def _mlp_forward_batch(
-    params: MlpParams,
-    data: np.ndarray,
-    valid_count: np.ndarray,
-    need_cache: bool,
+def _embed(
+    params: MlpParams, x: np.ndarray, need_cache: bool
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Batched MLP over (K, N, C_in) slot arrays. Returns (out, inputs, preacts)."""
-    k, n, c_in = data.shape
-    if params.layers and params.in_dim != c_in:
-        raise ValidationError(f"MLP expects {params.in_dim} input channels, cell has {c_in}")
-    invalid = np.arange(n)[None, :] >= valid_count[:, None]  # (K, N)
-
+    """The shared MLP over occupied rows (P, C_in). Returns (out, inputs, preacts)."""
+    if params.layers and params.in_dim != x.shape[1]:
+        raise ValidationError(
+            f"MLP expects {params.in_dim} input channels, cell has {x.shape[1]}"
+        )
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
-    x = data
     for layer in params.layers:
-        z = x.reshape(k * n, -1) @ layer.weight + layer.bias
-        z = z.reshape(k, n, -1)
-        y = np.maximum(z, 0.0) if layer.activation == "relu" else z.copy()
-        y[invalid] = 0.0  # bias would otherwise leak into padding slots
+        z = x @ layer.weight + layer.bias
         if need_cache:
             inputs.append(x)
             preacts.append(z)
-        x = y
+        x = np.maximum(z, 0.0) if layer.activation == "relu" else z
     return x, inputs, preacts
+
+
+@dataclass
+class FillGroup:
+    """The cells holding exactly ``count`` points, processed as one block.
+
+    ``rows`` (k_c, count) indexes each cell's occupied rows in slot order.
+    ``values`` (k_c, count, C) is the per-channel ascending sort of those
+    rows, and ``perm[i, r, ch]`` the slot that sorted row r of channel ch
+    came from. The max kind keeps no ``values`` and only the last perm row:
+    the slot of each channel's maximum, the last one when maxima tie, as the
+    stable sort would place it.
+    """
+
+    count: int
+    cells: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray | None = None
+    perm: np.ndarray | None = None
+
+
+def _fill_groups(counts: np.ndarray) -> list[FillGroup]:
+    """Group cells by fill level, levels ascending, cells in batch order."""
+    by_fill = np.argsort(counts, kind="stable")
+    levels, first = np.unique(counts[by_fill], return_index=True)
+    starts = np.cumsum(counts) - counts
+    return [
+        FillGroup(int(c), cells, starts[cells][:, None] + np.arange(c))
+        for c, cells in zip(levels, np.split(by_fill, first[1:]))
+    ]
+
+
+def _sort_group(group: FillGroup, embedded: np.ndarray, need_perm: bool) -> None:
+    """Sort each channel of the group's (k_c, count, C) block ascending."""
+    block = np.take(embedded, group.rows, axis=0)
+    if _FAULT_MODE == "skip-sort":
+        group.values = block
+        group.perm = np.broadcast_to(np.arange(group.count)[None, :, None], block.shape)
+    elif need_perm:
+        group.perm = np.argsort(block, axis=1, kind="stable")
+        group.values = np.take_along_axis(block, group.perm, axis=1)
+    else:
+        # ties carry identical bits after canonicalization, so plain quicksort
+        # yields the same value sequence as the stable sort, cheaper
+        group.values = np.sort(block, axis=1)
+
+
+def _combine(w_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Weighted sum over the sorted rows of (k, c, C) blocks of c-point cells.
+
+    ``w_rows`` holds the weights of the last c rows of the dense sorted
+    matrix, (c,) shared or (c, C) per channel; its padding rows are zero.
+    """
+    if w_rows.ndim == 1:
+        return np.einsum("n,knc->kc", w_rows, values)
+    return np.einsum("nc,knc->kc", w_rows, values)
 
 
 def sort_project(embedded: np.ndarray, valid_count: int) -> SortedFeatureMatrix:
@@ -235,44 +305,16 @@ def sort_project(embedded: np.ndarray, valid_count: int) -> SortedFeatureMatrix:
     """
     embedded = _as_slots(embedded)
     _check_padding(embedded, valid_count)
-    counts = np.asarray([valid_count], dtype=np.int64)
-    values, perm = _sort_project_batch(embedded[None, :, :], counts, need_perm=True)
-    return SortedFeatureMatrix(values[0], perm[0], valid_count)
-
-
-def _sort_project_batch(
-    embedded: np.ndarray,
-    valid_count: np.ndarray,
-    need_perm: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Batched sort over (K, N, C). Invalid slots sink to the low rows.
-
-    Keying invalid slots at -inf makes the stable argsort emit them first, in
-    slot order, which is exactly the padding bijection the gradient routing
-    expects; the -inf sentinels are then rewritten to zero.
-    """
-    k, n, _ = embedded.shape
-    invalid = np.arange(n)[None, :] >= valid_count[:, None]
-    keyed = embedded + 0.0  # copies, and turns -0.0 into +0.0 so ties are bit-identical
-    keyed[invalid] = -np.inf
-
-    if _FAULT_MODE == "skip-sort":
-        keyed[invalid] = 0.0
-        perm = np.broadcast_to(
-            np.arange(n, dtype=np.int64)[None, :, None], embedded.shape
-        ).copy()
-        return keyed, perm if need_perm else None
-
-    if need_perm:
-        perm = np.argsort(keyed, axis=1, kind="stable")
-        values = np.take_along_axis(keyed, perm, axis=1)
-    else:
-        # ties carry identical bits after canonicalization, so plain quicksort
-        # yields the same value sequence as the stable sort, cheaper
-        perm = None
-        values = np.sort(keyed, axis=1)
-    values[np.isneginf(values)] = 0.0
-    return values, perm
+    n = embedded.shape[0]
+    pad = n - valid_count
+    (group,) = _fill_groups(np.asarray([valid_count]))
+    _sort_group(group, embedded + 0.0, need_perm=True)
+    values = np.zeros_like(embedded)
+    values[pad:] = group.values[0]
+    perm = np.empty(embedded.shape, dtype=np.int64)
+    perm[:pad] = np.arange(valid_count, n)[:, None]  # padding rows take the unused slots
+    perm[pad:] = group.perm[0]
+    return SortedFeatureMatrix(values, perm, valid_count)
 
 
 def aggregate_weighted(weights: AggregationWeights, sfm: SortedFeatureMatrix) -> np.ndarray:
@@ -282,10 +324,10 @@ def aggregate_weighted(weights: AggregationWeights, sfm: SortedFeatureMatrix) ->
     mode uses its own column of weights per channel.
     """
     values = sfm.values
-    _check_agg_shapes(weights, values.shape[0], values.shape[1])
-    if weights.mode == "shared":
-        return np.einsum("n,nc->c", weights.values, values)
-    return np.einsum("nc,nc->c", weights.values, values)
+    n = values.shape[0]
+    _check_agg_shapes(weights, n, values.shape[1])
+    pad = n - sfm.valid_count
+    return _combine(weights.values[pad:], values[None, pad:])[0]
 
 
 def _check_agg_shapes(weights: AggregationWeights, n: int, c: int) -> None:
@@ -301,10 +343,10 @@ def _check_agg_shapes(weights: AggregationWeights, n: int, c: int) -> None:
 
 
 def aggregate_max(embedded: np.ndarray, valid_count: int) -> np.ndarray:
-    """Per-channel maximum over the valid slots."""
+    """Per-channel maximum over the valid slots (-0.0 read as +0.0, as in a batch)."""
     embedded = _as_slots(embedded)
     _check_padding(embedded, valid_count)
-    return embedded[:valid_count].max(axis=0)
+    return (embedded[:valid_count] + 0.0).max(axis=0)
 
 
 def aggregate_mean(embedded: np.ndarray, valid_count: int) -> np.ndarray:
@@ -324,19 +366,35 @@ def aggregate_mean(embedded: np.ndarray, valid_count: int) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Everything descriptor_backward needs from a forward pass."""
+    """Everything descriptor_backward needs from a forward pass.
+
+    Arrays with a leading P axis hold the P occupied slots of the batch,
+    cell by cell in slot order.
+    """
 
     kind: str
     params: MlpParams
     weights: AggregationWeights | None
-    data: np.ndarray
-    valid_count: np.ndarray
-    layer_inputs: list[np.ndarray]
-    layer_preacts: list[np.ndarray]
-    embedded: np.ndarray
-    sorted_values: np.ndarray | None = None  # (K, N, C)
-    perm: np.ndarray | None = None  # (K, N, C) int64
-    max_slot: np.ndarray | None = None  # (K, C) int64
+    valid_count: np.ndarray  # (K,)
+    capacity: int
+    layer_inputs: list[np.ndarray]  # (P, C_in) per layer
+    layer_preacts: list[np.ndarray]  # (P, C_out) per layer
+    embedded: np.ndarray  # (P, C), -0.0 canonicalized to +0.0
+    groups: list[FillGroup]
+
+    @property
+    def sorted_values(self) -> np.ndarray | None:
+        """The dense (K, N, C) sorted matrices: padding rows first, as zeros.
+
+        Built on each access from the per-group sorts; None for the max kind.
+        """
+        if self.kind == "max":
+            return None
+        n = self.capacity
+        out = np.zeros((self.valid_count.shape[0], n, self.embedded.shape[1]))
+        for group in self.groups:
+            out[group.cells, n - group.count :] = group.values
+        return out
 
 
 def descriptor_forward(
@@ -348,9 +406,12 @@ def descriptor_forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the full descriptor over every cell of a batch.
 
-    Returns (features, cache) where features is (K, C). The cache carries the
-    embeddings, sort permutations, and sorted matrices needed for the backward
-    pass; pass ``need_cache=False`` on inference-only paths to skip it.
+    Returns (features, cache) where features is (K, C). Only occupied slots
+    are computed: the MLP runs on the P occupied rows, and cells are sorted
+    and combined in groups of equal fill level c, each with the weights of
+    the last c sorted rows. The cache carries the embeddings, sort
+    permutations, and sorted blocks needed for the backward pass; pass
+    ``need_cache=False`` on inference-only paths to skip it.
     """
     if kind not in DESCRIPTOR_KINDS:
         raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
@@ -360,36 +421,33 @@ def descriptor_forward(
     c_out = params.output_channels(data.shape[2])
     if k == 0:
         return np.zeros((0, c_out)), None
-    if (counts < 1).any():
-        raise ValidationError("every materialized cell must hold at least one point")
-
-    embedded, layer_inputs, layer_preacts = _mlp_forward_batch(
-        params, data, counts, need_cache=need_cache
-    )
-
-    sorted_values = perm = max_slot = None
+    if (counts < 1).any() or (counts > n).any():
+        raise ValidationError(f"every materialized cell must hold 1 to {n} points")
     if kind == "weighted":
         if weights is None:
             raise ValidationError("weighted aggregation requires AggregationWeights")
         _check_agg_shapes(weights, n, c_out)
-        sorted_values, perm = _sort_project_batch(embedded, counts, need_perm=need_cache)
-        if weights.mode == "shared":
-            features = np.einsum("n,knc->kc", weights.values, sorted_values)
-        else:
-            features = np.einsum("nc,knc->kc", weights.values, sorted_values)
-    elif kind == "max":
-        keyed = embedded + 0.0  # canonicalize -0.0, matching the sorted path
-        keyed[np.arange(n)[None, :] >= counts[:, None]] = -np.inf
-        features = keyed.max(axis=1)
-        if need_cache:
-            # last slot attaining the max, mirroring where the stable sort
-            # places tied maxima in the weighted path
-            max_slot = n - 1 - np.argmax(keyed[:, ::-1, :], axis=1)
-    else:  # mean
-        sorted_values, perm = _sort_project_batch(embedded, counts, need_perm=need_cache)
-        row = np.arange(n)[None, :]
-        w_rows = np.where(row >= (n - counts)[:, None], 1.0 / counts[:, None], 0.0)
-        features = np.einsum("kn,knc->kc", w_rows, sorted_values)
+
+    embedded, layer_inputs, layer_preacts = _embed(
+        params, _occupied_rows(data, counts), need_cache=need_cache
+    )
+    embedded = embedded + 0.0  # turns -0.0 into +0.0 so ties are bit-identical
+
+    groups = _fill_groups(counts)
+    features = np.empty((k, c_out))
+    for group in groups:
+        c = group.count
+        if kind == "max":
+            block = np.take(embedded, group.rows, axis=0)
+            features[group.cells] = block.max(axis=1)
+            if need_cache:
+                group.perm = (c - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
+            continue
+        _sort_group(group, embedded, need_perm=need_cache)
+        w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
+        features[group.cells] = _combine(w_rows, group.values)
+        if not need_cache:
+            group.values = None
 
     if not need_cache:
         return features, None
@@ -397,14 +455,12 @@ def descriptor_forward(
         kind=kind,
         params=params,
         weights=weights,
-        data=data,
         valid_count=counts,
+        capacity=n,
         layer_inputs=layer_inputs,
         layer_preacts=layer_preacts,
         embedded=embedded,
-        sorted_values=sorted_values,
-        perm=perm,
-        max_slot=max_slot,
+        groups=groups,
     )
     return features, cache
 

@@ -9,6 +9,7 @@ voxels, matching the dense feature-map axes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -361,7 +362,14 @@ class FeatureMap:
                 raise FileFormatError(f"unsupported dtype {meta.get('dtype')!r}")
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise FileFormatError(f"bad feature map header: {exc}") from exc
+        if any(d < 0 for d in shape):
+            raise FileFormatError(f"bad feature map header: negative dimension in {shape}")
         raw = stem.with_suffix(".bin").read_bytes()
+        expected = 8 * math.prod(shape)
+        if len(raw) != expected:
+            raise FileFormatError(
+                f"feature map blob holds {len(raw)} bytes, header shape {shape} needs {expected}"
+            )
         values = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
         return cls(values)
 

@@ -3,6 +3,7 @@ import pytest
 
 from pillarkit import (
     AggregationWeights,
+    MlpLayer,
     MlpParams,
     NonFiniteError,
     OptimizerState,
@@ -77,15 +78,13 @@ def test_padded_rows_contribute_zero_input_gradient():
     assert not grads.inputs[0, 2:].any()
 
 
-def test_backward_matches_naive_loop_oracle():
-    params, w, batch, rng = make_random_setup(21)
-    features, cache = descriptor_forward(params, w, batch, "weighted")
-    upstream = rng.standard_normal(features.shape)
-    grads = descriptor_backward(cache, upstream)
-
-    # independent reimplementation: per-cell, per-slot python loops
+def _naive_backward(params, w, batch, upstream):
+    """Independent reimplementation: per-cell, per-slot python loops over the
+    padded slots. Returns (layer grads, agg grad, d_embedded, d_inputs)."""
     d_layers = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers]
     d_w = np.zeros_like(w.values)
+    d_embedded = np.zeros((batch.num_cells, batch.capacity, upstream.shape[1]))
+    d_inputs = np.zeros_like(batch.data)
     for k in range(batch.num_cells):
         n_valid = int(batch.valid_count[k])
         n = batch.capacity
@@ -99,6 +98,7 @@ def test_backward_matches_naive_loop_oracle():
             xs.append(y)
         embedded = xs[-1]
         c = embedded.shape[1]
+        w_rows = w.values if w.mode == "per-channel" else np.repeat(w.values[:, None], c, axis=1)
         perm = np.empty((n, c), dtype=int)
         for ch in range(c):
             order = sorted(range(n_valid), key=lambda i: (embedded[i, ch], i))
@@ -110,12 +110,16 @@ def test_backward_matches_naive_loop_oracle():
                 if r >= n - n_valid:
                     a[r, ch] = embedded[perm[r, ch], ch]
         for r in range(n):
-            d_w[r] += sum(upstream[k, ch] * a[r, ch] for ch in range(c))
+            if w.mode == "per-channel":
+                d_w[r] += upstream[k] * a[r]
+            else:
+                d_w[r] += sum(upstream[k, ch] * a[r, ch] for ch in range(c))
         d_emb = np.zeros((n, c))
         for r in range(n):
             for ch in range(c):
                 if r >= n - n_valid:
-                    d_emb[perm[r, ch], ch] += w.values[r] * upstream[k, ch]
+                    d_emb[perm[r, ch], ch] += w_rows[r, ch] * upstream[k, ch]
+        d_embedded[k] = d_emb
         dy = d_emb
         for li in reversed(range(len(params.layers))):
             layer = params.layers[li]
@@ -123,11 +127,41 @@ def test_backward_matches_naive_loop_oracle():
             d_layers[li][0][...] += xs[li].T @ dz
             d_layers[li][1][...] += dz.sum(axis=0)
             dy = dz @ layer.weight.T
+        d_inputs[k] = dy
+    return d_layers, d_w, d_embedded, d_inputs
+
+
+def test_backward_matches_naive_loop_oracle():
+    params, w, batch, rng = make_random_setup(21)
+    features, cache = descriptor_forward(params, w, batch, "weighted")
+    upstream = rng.standard_normal(features.shape)
+    grads = descriptor_backward(cache, upstream)
+    d_layers, d_w, _, _ = _naive_backward(params, w, batch, upstream)
 
     np.testing.assert_allclose(grads.agg, d_w, rtol=1e-12, atol=1e-12)
     for (dw_got, db_got), (dw_exp, db_exp) in zip(grads.layers, d_layers):
         np.testing.assert_allclose(dw_got, dw_exp, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(db_got, db_exp, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["shared", "per-channel"])
+def test_backward_matches_naive_loop_oracle_at_every_fill_level(mode):
+    n = 6
+    counts = np.random.default_rng(34).permutation(np.repeat(np.arange(1, n + 1), 2))
+    params, _, batch, rng = make_random_setup(34, k=counts.size, n=n, counts=counts)
+    shape = (n,) if mode == "shared" else (n, params.out_dim)
+    w = AggregationWeights(rng.standard_normal(shape), mode)
+    features, cache = descriptor_forward(params, w, batch, "weighted")
+    upstream = rng.standard_normal(features.shape)
+    grads = descriptor_backward(cache, upstream)
+    d_layers, d_w, d_embedded, d_inputs = _naive_backward(params, w, batch, upstream)
+
+    np.testing.assert_allclose(grads.agg, d_w, rtol=1e-12, atol=1e-12)
+    for (dw_got, db_got), (dw_exp, db_exp) in zip(grads.layers, d_layers):
+        np.testing.assert_allclose(dw_got, dw_exp, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db_got, db_exp, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads.embedded, d_embedded, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads.inputs, d_inputs, rtol=1e-12, atol=1e-12)
 
 
 def test_backward_requires_cache_and_matching_shapes():
@@ -184,6 +218,54 @@ def test_backward_rows_equivariant_on_tie_free_inputs():
         n_valid = len(p)
         np.testing.assert_array_equal(sgrads.inputs[k, :n_valid], grads.inputs[k, p])
         np.testing.assert_array_equal(sgrads.embedded[k, :n_valid], grads.embedded[k, p])
+
+
+def test_backward_grads_bitwise_invariant_when_distinct_rows_tie_on_order_key():
+    # embedded rows [a, b] and [b, a] have bitwise-equal channel sums but
+    # differ, and the third input channel makes their order matter for the
+    # first-layer weight gradient; ReLU-dead rows tie with each other
+    rng = np.random.default_rng(35)
+    params = MlpParams([MlpLayer(np.eye(3)[:, :2], np.zeros(2), "relu")])
+    n = 10
+    data = np.zeros((3, n, 3))
+    counts = np.array([10, 7, 4])
+    for k, count in enumerate(counts):
+        ab = rng.uniform(0.1, 1.0, size=(count // 3, 2))
+        rows = np.concatenate([
+            np.column_stack([ab, rng.standard_normal(len(ab))]),
+            np.column_stack([ab[:, ::-1], rng.standard_normal(len(ab))]),
+            -rng.uniform(0.1, 1.0, size=(count - 2 * len(ab), 3)),
+        ])
+        data[k, :count] = rows
+    batch = cell_batch_from_arrays(data, counts)
+    w = AggregationWeights(rng.standard_normal(n))
+    upstream = rng.standard_normal((3, 2))
+
+    def param_grad_bytes(cells):
+        _, cache = descriptor_forward(params, w, cell_batch_from_arrays(cells, counts))
+        grads = descriptor_backward(cache, upstream)
+        return grads.agg.tobytes() + b"".join(a.tobytes() for pair in grads.layers for a in pair)
+
+    reference = param_grad_bytes(data)
+    for _ in range(30):
+        shuffled = data.copy()
+        for k, count in enumerate(counts):
+            shuffled[k, :count] = data[k, rng.permutation(count)]
+        assert param_grad_bytes(shuffled) == reference
+
+
+def test_identity_embedding_input_grads_equal_embedded_grads():
+    rng = np.random.default_rng(36)
+    n = 5
+    counts = rng.permutation(np.arange(1, n + 1))
+    batch = cell_batch_from_arrays(rng.standard_normal((n, n, 3)), counts)
+    for kind, w in (("weighted", AggregationWeights(rng.standard_normal(n))), ("max", None),
+                    ("mean", None)):
+        features, cache = descriptor_forward(MlpParams([]), w, batch, kind)
+        grads = descriptor_backward(cache, rng.standard_normal(features.shape))
+        assert grads.layers == []
+        assert grads.inputs.tobytes() == grads.embedded.tobytes()
+        assert not grads.embedded[np.arange(n)[None, :] >= counts[:, None]].any()
 
 
 def test_backward_is_deterministic_across_runs():

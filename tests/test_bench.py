@@ -30,6 +30,7 @@ def test_report_structure(tiny_report):
     assert tiny_report["full_overhead_ratio"] > 0
     assert [e["n_points"] for e in tiny_report["aggregation_scaling"]] == [4, 16]
     assert "aggregation_ratio_monotone" in tiny_report
+    assert tiny_report["thread_pinning_applied"] is False  # pin_single_thread=False
 
 
 def test_benchmark_never_perturbs_results(tiny_report):

@@ -239,21 +239,3 @@ def test_bench_writes_report(small_grid_config, tmp_path):
     doc = json.loads((out / "bench.json").read_text())
     assert "full_overhead_ratio" in doc
     assert doc["outputs_stable"] is True
-
-
-def test_featurize_respects_thread_env(tmp_path, small_grid_config, scan_file, monkeypatch):
-    monkeypatch.setenv("PILLARKIT_THREADS", "2")
-    out_threaded = tmp_path / "threaded"
-    assert main(
-        ["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
-         "--seed", "5", "--out", str(out_threaded)]
-    ) == 0
-    monkeypatch.setenv("PILLARKIT_THREADS", "1")
-    out_single = tmp_path / "single"
-    assert main(
-        ["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
-         "--seed", "5", "--out", str(out_single)]
-    ) == 0
-    assert (out_threaded / "featuremap.bin").read_bytes() == (
-        out_single / "featuremap.bin"
-    ).read_bytes()

@@ -304,6 +304,14 @@ def test_descriptor_empty_batch_returns_empty_features():
     assert cache is None
 
 
+def test_descriptor_rejects_fill_counts_outside_capacity():
+    batch = cell_batch_from_arrays(np.ones((2, 3, 2)))
+    for bad in ([0, 3], [4, 3]):
+        broken = type(batch)(batch.data, np.array(bad), batch.cell_coords, batch.spec)
+        with pytest.raises(ValidationError):
+            descriptor_forward(MlpParams([]), None, broken, "max")
+
+
 def test_descriptor_checkpoint_roundtrip(tmp_path):
     params = MlpParams.create(5, (7, 3), seed=11)
     weights = AggregationWeights.max_pool_init(6, noise=0.01, seed=2)
@@ -329,3 +337,68 @@ def test_fault_mode_breaks_sorting():
         set_fault_mode(None)
     with pytest.raises(ValidationError):
         set_fault_mode("bogus")
+
+
+# ---------------------------------------------------------------------------
+# Ragged execution against the padded dense formulation
+# ---------------------------------------------------------------------------
+
+
+def _dense_oracle(params, weights, data, counts, kind):
+    """The padded (K, N, C) descriptor: every slot embedded and masked, padding
+    keyed at -inf for the sort and rewritten to zero. Returns (features, sorted)."""
+    k, n, _ = data.shape
+    invalid = np.arange(n)[None, :] >= counts[:, None]
+    x = data
+    for layer in params.layers:
+        z = x.reshape(k * n, -1) @ layer.weight + layer.bias
+        x = (np.maximum(z, 0.0) if layer.activation == "relu" else z).reshape(k, n, -1)
+        x[invalid] = 0.0
+    keyed = x + 0.0
+    keyed[invalid] = -np.inf
+    if kind == "max":
+        return keyed.max(axis=1), None
+    values = np.sort(keyed, axis=1)
+    values[np.isneginf(values)] = 0.0
+    if kind == "mean":
+        rows = np.arange(n)[None, :] >= (n - counts)[:, None]
+        w_rows = np.where(rows, 1.0 / counts[:, None], 0.0)
+        return np.einsum("kn,knc->kc", w_rows, values), values
+    if weights.mode == "shared":
+        return np.einsum("n,knc->kc", weights.values, values), values
+    return np.einsum("nc,knc->kc", weights.values, values), values
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+@pytest.mark.parametrize("embedding", ["identity", "mlp"])
+@pytest.mark.parametrize(
+    "kind, mode", [("weighted", "shared"), ("weighted", "per-channel"), ("max", None), ("mean", None)]
+)
+def test_ragged_forward_matches_dense_oracle_at_every_fill_level(kind, mode, embedding, channels):
+    rng = np.random.default_rng(40)
+    n = 8
+    c_in = channels if embedding == "identity" else 3
+    counts = rng.permutation(np.repeat(np.arange(1, n + 1), 3))  # every fill level, 3 cells each
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, n, c_in)), counts)
+    params = MlpParams([])
+    if embedding == "mlp":
+        params = MlpParams.create(c_in, (6, channels), activation="relu", seed=41)
+        for layer in params.layers:
+            layer.bias = 0.1 * rng.standard_normal(layer.bias.shape)
+    weights = None
+    if kind == "weighted":
+        shape = (n,) if mode == "shared" else (n, channels)
+        weights = AggregationWeights(rng.standard_normal(shape), mode)
+
+    features, cache = descriptor_forward(params, weights, batch, kind)
+    expected, expected_sorted = _dense_oracle(params, weights, batch.data, counts, kind)
+    if kind != "max":
+        assert cache.sorted_values.tobytes() == expected_sorted.tobytes()
+    if channels == 1 and kind != "max":
+        # with one channel numpy's einsum reduces the row axis in SIMD partial
+        # sums, so the padded contraction groups its terms differently
+        np.testing.assert_allclose(features, expected, rtol=0, atol=1e-14)
+    else:
+        assert features.tobytes() == expected.tobytes()
+    inference, _ = descriptor_forward(params, weights, batch, kind, need_cache=False)
+    assert inference.tobytes() == features.tobytes()

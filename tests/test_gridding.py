@@ -5,6 +5,7 @@ import pytest
 
 from pillarkit import (
     FeatureMap,
+    FileFormatError,
     GridSpec,
     PointCloud,
     ValidationError,
@@ -221,6 +222,21 @@ def test_feature_map_save_load_roundtrip(tmp_path):
     assert back.values.tobytes() == fmap.values.tobytes()
     header = json.loads((tmp_path / "map.json").read_text())
     assert header == {"shape": [4, 6, 3], "dtype": "f64", "order": "row-major"}
+
+
+def test_feature_map_load_rejects_blob_not_matching_header(tmp_path):
+    FeatureMap(np.zeros((2, 3, 4))).save(tmp_path / "map")
+    blob = tmp_path / "map.bin"
+    blob.write_bytes(blob.read_bytes()[:23])  # truncated mid-value
+    with pytest.raises(FileFormatError, match="23 bytes"):
+        FeatureMap.load(tmp_path / "map")
+    blob.write_bytes(bytes(8 * 25))  # one value too many
+    with pytest.raises(FileFormatError):
+        FeatureMap.load(tmp_path / "map")
+    (tmp_path / "map.json").write_text(json.dumps({"shape": [-2, -3, 4], "dtype": "f64"}))
+    blob.write_bytes(bytes(8 * 24))
+    with pytest.raises(FileFormatError):
+        FeatureMap.load(tmp_path / "map")
 
 
 def test_voxel_mode_grid_shape_and_coords():
