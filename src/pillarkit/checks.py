@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import AggregationWeights, MlpParams, _occupied, descriptor_forward
+from .descriptor import AggregationWeights, MlpParams, _group_perm, _occupied, descriptor_forward
 from .gridding import cell_batch_from_arrays
 
 
@@ -143,9 +143,10 @@ def run_sorted_contract_suite(
         expected[row < pad] = 0.0
         ok = np.all(cache.sorted_values.view(np.uint64) == expected.view(np.uint64), axis=(1, 2))
         for group in cache.groups:
+            perm = _group_perm(group, cache.embedded, cache.kind)
             slots = np.arange(group.count)[:, None]
-            bijective = (np.sort(group.perm, axis=1) == slots).all(axis=(1, 2))
-            read_back = np.take_along_axis(cache.embedded[group.rows], group.perm, axis=1)
+            bijective = (np.sort(perm, axis=1) == slots).all(axis=(1, 2))
+            read_back = np.take_along_axis(cache.embedded[group.rows], perm, axis=1)
             ok[group.cells] &= bijective & (read_back == group.values).all(axis=(1, 2))
         cases += ok.size
         failures += int(ok.size - ok.sum())

@@ -222,6 +222,17 @@ def mlp_forward(params: MlpParams, cell: np.ndarray, valid_count: int) -> np.nda
     return _to_slots(out, np.asarray([valid_count]), cell.shape[0])[0]
 
 
+def _rows_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x @ weight`` with each row rounded as it is inside a larger batch.
+
+    numpy hands a one-row product to BLAS gemv, which rounds differently from
+    the gemm used for two or more rows, so a single row goes in twice.
+    """
+    if x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ weight)[:1]
+    return x @ weight
+
+
 def _embed(
     params: MlpParams, x: np.ndarray, need_cache: bool
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -233,7 +244,7 @@ def _embed(
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
     for layer in params.layers:
-        z = x @ layer.weight + layer.bias
+        z = _rows_matmul(x, layer.weight) + layer.bias
         if need_cache:
             inputs.append(x)
             preacts.append(z)
@@ -247,10 +258,11 @@ class FillGroup:
 
     ``rows`` (k_c, count) indexes each cell's occupied rows in slot order.
     ``values`` (k_c, count, C) is the per-channel ascending sort of those
-    rows, and ``perm[i, r, ch]`` the slot that sorted row r of channel ch
-    came from. The max kind keeps no ``values`` and only the last perm row:
-    the slot of each channel's maximum, the last one when maxima tie, as the
-    stable sort would place it.
+    rows; the max kind keeps none. ``perm[i, r, ch]`` is the slot that
+    sorted row r of channel ch came from; for the max kind only the last row,
+    the slot of each channel's maximum (the last one when maxima tie, as the
+    stable sort would place it). Only gradient routing reads ``perm``, so it
+    stays None until ``_group_perm`` computes it.
     """
 
     count: int
@@ -271,15 +283,34 @@ def _fill_groups(counts: np.ndarray) -> list[FillGroup]:
     ]
 
 
+def _group_perm(
+    group: FillGroup, embedded: np.ndarray, kind: str, block: np.ndarray | None = None
+) -> np.ndarray:
+    """The group's source-slot permutation, computed on its first request.
+
+    ``embedded`` holds the (P, C) occupied rows the group indexes; ``block``
+    is the group's (k_c, count, C) block when the caller has taken it already.
+    """
+    if group.perm is None:
+        if block is None:
+            block = np.take(embedded, group.rows, axis=0)
+        if kind == "max":
+            group.perm = (group.count - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
+        elif _FAULT_MODE == "skip-sort":
+            group.perm = np.broadcast_to(np.arange(group.count)[None, :, None], block.shape)
+        else:
+            group.perm = np.argsort(block, axis=1, kind="stable")
+    return group.perm
+
+
 def _sort_group(group: FillGroup, embedded: np.ndarray, need_perm: bool) -> None:
     """Sort each channel of the group's (k_c, count, C) block ascending."""
     block = np.take(embedded, group.rows, axis=0)
-    if _FAULT_MODE == "skip-sort":
+    if need_perm:
+        perm = _group_perm(group, embedded, "weighted", block)
+        group.values = np.take_along_axis(block, perm, axis=1)
+    elif _FAULT_MODE == "skip-sort":
         group.values = block
-        group.perm = np.broadcast_to(np.arange(group.count)[None, :, None], block.shape)
-    elif need_perm:
-        group.perm = np.argsort(block, axis=1, kind="stable")
-        group.values = np.take_along_axis(block, group.perm, axis=1)
     else:
         # ties carry identical bits after canonicalization, so plain quicksort
         # yields the same value sequence as the stable sort, cheaper
@@ -369,7 +400,10 @@ class ForwardCache:
     """Everything descriptor_backward needs from a forward pass.
 
     Arrays with a leading P axis hold the P occupied slots of the batch,
-    cell by cell in slot order.
+    cell by cell in slot order. The groups carry their sorted blocks; their
+    permutations are computed in the forward only when the backward routes
+    through them (an MLP with layers, max or weighted kind), otherwise on
+    request by ``_group_perm``.
     """
 
     kind: str
@@ -409,9 +443,10 @@ def descriptor_forward(
     Returns (features, cache) where features is (K, C). Only occupied slots
     are computed: the MLP runs on the P occupied rows, and cells are sorted
     and combined in groups of equal fill level c, each with the weights of
-    the last c sorted rows. The cache carries the embeddings, sort
-    permutations, and sorted blocks needed for the backward pass; pass
-    ``need_cache=False`` on inference-only paths to skip it.
+    the last c sorted rows. The cache carries the embeddings and sorted
+    blocks needed for the backward pass, plus the sort permutations when the
+    backward routes gradients through them; pass ``need_cache=False`` on
+    inference-only paths to skip it.
     """
     if kind not in DESCRIPTOR_KINDS:
         raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
@@ -433,6 +468,9 @@ def descriptor_forward(
     )
     embedded = embedded + 0.0  # turns -0.0 into +0.0 so ties are bit-identical
 
+    # the backward routes sorted-row gradients to their slots only to feed MLP
+    # layers, and the mean spreads them evenly without a permutation
+    need_perm = need_cache and bool(params.layers) and kind != "mean"
     groups = _fill_groups(counts)
     features = np.empty((k, c_out))
     for group in groups:
@@ -440,10 +478,10 @@ def descriptor_forward(
         if kind == "max":
             block = np.take(embedded, group.rows, axis=0)
             features[group.cells] = block.max(axis=1)
-            if need_cache:
-                group.perm = (c - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
+            if need_perm:
+                _group_perm(group, embedded, kind, block)
             continue
-        _sort_group(group, embedded, need_perm=need_cache)
+        _sort_group(group, embedded, need_perm)
         w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
         features[group.cells] = _combine(w_rows, group.values)
         if not need_cache:
@@ -455,7 +493,7 @@ def descriptor_forward(
         kind=kind,
         params=params,
         weights=weights,
-        valid_count=counts,
+        valid_count=counts.copy(),
         capacity=n,
         layer_inputs=layer_inputs,
         layer_preacts=layer_preacts,

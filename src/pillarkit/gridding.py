@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -343,7 +344,7 @@ class FeatureMap:
         stem = Path(stem)
         blob = stem.with_suffix(".bin")
         header = stem.with_suffix(".json")
-        blob.write_bytes(np.ascontiguousarray(self.values).tobytes(order="C"))
+        np.ascontiguousarray(self.values).tofile(blob)  # the array's own buffer, no copy
         header.write_text(
             json.dumps(
                 {"shape": list(self.values.shape), "dtype": "f64", "order": "row-major"},
@@ -374,11 +375,17 @@ class FeatureMap:
         return cls(values)
 
 
+def physical_memory_bytes() -> int:
+    """Physical memory of the machine, the ceiling for a dense feature grid."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) -> FeatureMap:
     """Place per-cell feature vectors onto a dense zero-initialized grid.
 
     ``coords`` must be unique, in-range map coordinates aligned with
-    ``features`` rows; every untouched cell stays zero.
+    ``features`` rows; every untouched cell stays zero. A grid larger than
+    physical memory raises ValidationError before anything is allocated.
     """
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.int64)
@@ -393,6 +400,14 @@ def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) ->
         flat = np.ravel_multi_index(tuple(coords.T), dims)
         if np.unique(flat).size != flat.size:
             raise ValidationError("duplicate cell coords")
-    grid = np.zeros(dims + (features.shape[1],))
+    shape = dims + (features.shape[1],)
+    nbytes = 8 * math.prod(shape)
+    limit = physical_memory_bytes()
+    if nbytes > limit:
+        raise ValidationError(
+            f"dense {spec.mode} grid {shape} needs {nbytes / 2**30:.1f} GiB, more than the "
+            f"{limit / 2**30:.1f} GiB of physical memory; shrink the ranges"
+        )
+    grid = np.zeros(shape)
     grid[tuple(coords.T)] = features
     return FeatureMap(grid)

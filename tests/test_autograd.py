@@ -78,11 +78,12 @@ def test_padded_rows_contribute_zero_input_gradient():
     assert not grads.inputs[0, 2:].any()
 
 
-def _naive_backward(params, w, batch, upstream):
+def _naive_backward(params, w, batch, upstream, kind="weighted"):
     """Independent reimplementation: per-cell, per-slot python loops over the
-    padded slots. Returns (layer grads, agg grad, d_embedded, d_inputs)."""
+    padded slots. Returns (layer grads, agg grad, d_embedded, d_inputs); the
+    agg grad is None for the max and mean kinds."""
     d_layers = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers]
-    d_w = np.zeros_like(w.values)
+    d_w = np.zeros_like(w.values) if kind == "weighted" else None
     d_embedded = np.zeros((batch.num_cells, batch.capacity, upstream.shape[1]))
     d_inputs = np.zeros_like(batch.data)
     for k in range(batch.num_cells):
@@ -98,27 +99,36 @@ def _naive_backward(params, w, batch, upstream):
             xs.append(y)
         embedded = xs[-1]
         c = embedded.shape[1]
-        w_rows = w.values if w.mode == "per-channel" else np.repeat(w.values[:, None], c, axis=1)
-        perm = np.empty((n, c), dtype=int)
-        for ch in range(c):
-            order = sorted(range(n_valid), key=lambda i: (embedded[i, ch], i))
-            invalid = list(range(n_valid, n))
-            perm[:, ch] = invalid + order
-        a = np.zeros((n, c))
-        for r in range(n):
-            for ch in range(c):
-                if r >= n - n_valid:
-                    a[r, ch] = embedded[perm[r, ch], ch]
-        for r in range(n):
-            if w.mode == "per-channel":
-                d_w[r] += upstream[k] * a[r]
-            else:
-                d_w[r] += sum(upstream[k, ch] * a[r, ch] for ch in range(c))
         d_emb = np.zeros((n, c))
-        for r in range(n):
+        if kind == "max":  # the last slot holding the maximum, as the stable sort places it
             for ch in range(c):
-                if r >= n - n_valid:
-                    d_emb[perm[r, ch], ch] += w_rows[r, ch] * upstream[k, ch]
+                top = max(range(n_valid), key=lambda i: (embedded[i, ch], i))
+                d_emb[top, ch] += upstream[k, ch]
+        elif kind == "mean":
+            d_emb[:n_valid] += upstream[k] / n_valid
+        else:
+            w_rows = (
+                w.values if w.mode == "per-channel" else np.repeat(w.values[:, None], c, axis=1)
+            )
+            perm = np.empty((n, c), dtype=int)
+            for ch in range(c):
+                order = sorted(range(n_valid), key=lambda i: (embedded[i, ch], i))
+                invalid = list(range(n_valid, n))
+                perm[:, ch] = invalid + order
+            a = np.zeros((n, c))
+            for r in range(n):
+                for ch in range(c):
+                    if r >= n - n_valid:
+                        a[r, ch] = embedded[perm[r, ch], ch]
+            for r in range(n):
+                if w.mode == "per-channel":
+                    d_w[r] += upstream[k] * a[r]
+                else:
+                    d_w[r] += sum(upstream[k, ch] * a[r, ch] for ch in range(c))
+            for r in range(n):
+                for ch in range(c):
+                    if r >= n - n_valid:
+                        d_emb[perm[r, ch], ch] += w_rows[r, ch] * upstream[k, ch]
         d_embedded[k] = d_emb
         dy = d_emb
         for li in reversed(range(len(params.layers))):
@@ -162,6 +172,57 @@ def test_backward_matches_naive_loop_oracle_at_every_fill_level(mode):
         np.testing.assert_allclose(db_got, db_exp, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads.embedded, d_embedded, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads.inputs, d_inputs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind,mode", [("weighted", "shared"), ("weighted", "per-channel"), ("max", None),
+                  ("mean", None)]
+)
+@pytest.mark.parametrize("widths", [(5, 3), ()])
+def test_lazy_slot_grads_ignore_later_caller_changes_and_passes(kind, mode, widths):
+    # per-slot gradients are built on first read; by then the caller has
+    # overwritten its upstream buffer and weights and run another pass
+    n = 6
+    counts = np.random.default_rng(37).permutation(np.repeat(np.arange(1, n + 1), 2))
+    params, _, batch, rng = make_random_setup(37, k=counts.size, n=n, counts=counts)
+    if not widths:
+        params = MlpParams([])
+    c = params.output_channels(batch.num_channels)
+    w = None
+    if kind == "weighted":
+        w = AggregationWeights(rng.standard_normal((n,) if mode == "shared" else (n, c)), mode)
+    features, cache = descriptor_forward(params, w, batch, kind)
+    upstream = rng.standard_normal(features.shape)
+    _, _, d_embedded, d_inputs = _naive_backward(params, w, batch, upstream, kind)
+    grads = descriptor_backward(cache, upstream)
+
+    upstream[...] = rng.standard_normal(upstream.shape)
+    if w is not None:
+        w.values += 1.0
+    for layer in params.layers:
+        layer.weight += 1.0
+    _, _, other, _ = make_random_setup(38, k=counts.size, n=n, counts=counts)
+    _, other_cache = descriptor_forward(params, w, other, kind)
+    descriptor_backward(other_cache, upstream).inputs  # read before the first pass's
+
+    assert grads.embedded.tobytes() == d_embedded.tobytes()
+    assert grads.inputs.tobytes() == d_inputs.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
+def test_identity_embedding_backward_computes_no_permutation(kind):
+    rng = np.random.default_rng(39)
+    n = 5
+    batch = cell_batch_from_arrays(
+        rng.standard_normal((2 * n, n, 3)), rng.permutation(np.tile(np.arange(1, n + 1), 2))
+    )
+    w = AggregationWeights(rng.standard_normal(n)) if kind == "weighted" else None
+    features, cache = descriptor_forward(MlpParams([]), w, batch, kind)
+    grads = descriptor_backward(cache, rng.standard_normal(features.shape))
+    grad_dict(grads)
+    assert all(group.perm is None for group in cache.groups)
+    grads.inputs  # routing through the sort needs the permutation on first read
+    assert all((group.perm is None) == (kind == "mean") for group in cache.groups)
 
 
 def test_backward_requires_cache_and_matching_shapes():

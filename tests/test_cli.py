@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from pillarkit import PointCloud, write_kitti_bin
+from pillarkit import PointCloud, gridding, write_kitti_bin
 from pillarkit.cli import main
 
 
@@ -107,6 +107,18 @@ def test_featurize_missing_input_is_io_error(tmp_path, small_grid_config):
          "--config", str(small_grid_config), "--out", str(tmp_path / "out")]
     )
     assert code == 3
+
+
+def test_featurize_voxel_defaults_exit_config_error_before_allocating(
+    tmp_path, scan_file, monkeypatch
+):
+    # the dense default voxel grid is 43 GiB; the limit is patched so that no
+    # machine would try to allocate it
+    monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: 2**30)
+    code = main(["featurize", "--input", str(scan_file), "--mode", "voxel",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out" / "featuremap.bin").exists()
 
 
 def test_bad_config_is_config_error(tmp_path, scan_file):

@@ -402,3 +402,25 @@ def test_ragged_forward_matches_dense_oracle_at_every_fill_level(kind, mode, emb
         assert features.tobytes() == expected.tobytes()
     inference, _ = descriptor_forward(params, weights, batch, kind, need_cache=False)
     assert inference.tobytes() == features.tobytes()
+
+
+def test_one_point_embedding_rounds_as_inside_a_larger_batch():
+    # numpy sends a one-row matmul to gemv, which rounds differently from gemm
+    rng = np.random.default_rng(41)
+    params = MlpParams.create(4, (16, 8), seed=41)
+    n = 4
+    counts = rng.permutation(np.repeat(np.arange(1, n + 1), 8))
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, n, 4)), counts)
+    w = AggregationWeights(rng.standard_normal(n))
+    kinds = {"weighted": w, "max": None, "mean": None}
+    full = {
+        kind: descriptor_forward(params, weights, batch, kind, need_cache=False)[0]
+        for kind, weights in kinds.items()
+    }
+    for i in np.flatnonzero(counts == 1):
+        cell = batch.data[i]
+        assert (mlp_forward(params, cell, 1)[0] + 0.0).tobytes() == full["max"][i].tobytes()
+        single = cell_batch_from_arrays(cell[None], np.array([1]))
+        for kind, weights in kinds.items():
+            one, _ = descriptor_forward(params, weights, single, kind, need_cache=False)
+            assert one[0].tobytes() == full[kind][i].tobytes()

@@ -12,6 +12,7 @@ from pillarkit import (
     assign_cells,
     build_cell_batch,
     cell_batch_from_arrays,
+    gridding,
     scatter_to_grid,
 )
 
@@ -222,6 +223,27 @@ def test_feature_map_save_load_roundtrip(tmp_path):
     assert back.values.tobytes() == fmap.values.tobytes()
     header = json.loads((tmp_path / "map.json").read_text())
     assert header == {"shape": [4, 6, 3], "dtype": "f64", "order": "row-major"}
+
+
+def test_feature_map_save_writes_row_major_bytes_of_any_layout(tmp_path):
+    values = np.asfortranarray(np.random.default_rng(6).standard_normal((3, 5, 2)))
+    blob, _ = FeatureMap(values).save(tmp_path / "map")
+    assert blob.read_bytes() == values.tobytes(order="C")
+
+
+def test_scatter_rejects_a_grid_larger_than_physical_memory(monkeypatch):
+    # the limit is patched, so the check is tested without allocating
+    spec = small_pillar_spec()
+    needed = 8 * 10 * 10 * 3
+    monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: needed)
+    assert scatter_to_grid(np.ones((1, 3)), np.array([[0, 0]]), spec).values.nbytes == needed
+    monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: needed - 1)
+    with pytest.raises(ValidationError, match="physical memory"):
+        scatter_to_grid(np.ones((1, 3)), np.array([[0, 0]]), spec)
+    voxel = GridSpec.kitti_voxel_defaults()
+    monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: 40 * 2**30)
+    with pytest.raises(ValidationError, match=r"\(40, 1600, 1408, 64\) needs 43.0 GiB"):
+        scatter_to_grid(np.zeros((0, 64)), np.zeros((0, 3), dtype=np.int64), voxel)
 
 
 def test_feature_map_load_rejects_blob_not_matching_header(tmp_path):
