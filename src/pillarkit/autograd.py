@@ -24,68 +24,26 @@ from .descriptor import (
     ForwardCache,
     MlpLayer,
     MlpParams,
+    _array_from_doc,
     _embed,
     _fill_groups,
-    _group_perm,
     _occupied_rows,
-    _to_slots,
     descriptor_forward,
 )
 from .errors import NonFiniteError, TieError, ValidationError
 from .gridding import CellBatch, cell_batch_from_arrays
 
 
+@dataclass
 class Gradients:
     """Loss gradients mirroring the descriptor's parameters.
 
     ``layers`` pairs (d_weight, d_bias) per MLP layer; ``agg`` matches the
     aggregation weights (None for the max/mean kinds, which have none).
-    ``embedded`` and ``inputs`` are the dense (K, N, C) per-slot gradients in
-    original slot order. Training reads neither, so each is built on its
-    first read, computing any sort permutation it routes through; until the
-    object is dropped it keeps the forward cache alive for that.
     """
 
-    def __init__(
-        self,
-        layers: list[tuple[np.ndarray, np.ndarray]],
-        agg: np.ndarray | None,
-        cache: ForwardCache,
-        upstream: np.ndarray,
-        weights: np.ndarray | None,
-        d_rows: np.ndarray | None = None,
-        first_layer: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ):
-        self.layers = layers
-        self.agg = agg
-        # lazy state: the forward cache plus private copies of the caller's arrays
-        self._cache = cache
-        self._upstream = upstream
-        self._weights = weights
-        self._d_rows = d_rows  # (P, C) routed gradients, when the backward needed them
-        self._first_layer = first_layer  # (canonical order, dz, weight) of layer 0
-        self._embedded: np.ndarray | None = None
-        self._inputs: np.ndarray | None = None
-
-    @property
-    def embedded(self) -> np.ndarray:
-        if self._embedded is None:
-            if self._d_rows is None:
-                self._d_rows = _route(self._cache, self._upstream, self._weights)
-            self._embedded = _to_slots(self._d_rows, self._cache.valid_count, self._cache.capacity)
-        return self._embedded
-
-    @property
-    def inputs(self) -> np.ndarray:
-        if self._inputs is None:
-            if self._first_layer is None:  # identity embedding: inputs are the embedding
-                self._inputs = self.embedded
-            else:
-                order, dz, weight = self._first_layer
-                d_input = np.empty((dz.shape[0], weight.shape[0]))
-                d_input[order] = dz @ weight.T
-                self._inputs = _to_slots(d_input, self._cache.valid_count, self._cache.capacity)
-        return self._inputs
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    agg: np.ndarray | None
 
 
 def _canonical_row_order(embedded: np.ndarray, groups: list[FillGroup]) -> np.ndarray:
@@ -129,9 +87,8 @@ def _route(cache: ForwardCache, upstream: np.ndarray, w: np.ndarray | None) -> n
             d_sorted = up * w[n - group.count :][None, :, None]
         else:
             d_sorted = up * w[n - group.count :][None]
-        perm = _group_perm(group, cache.embedded, cache.kind)
         d_block = np.zeros((group.cells.size, group.count, c))
-        np.put_along_axis(d_block, perm, d_sorted, axis=1)
+        np.put_along_axis(d_block, group.perm, d_sorted, axis=1)
         d_rows[group.rows] = d_block
     return d_rows
 
@@ -140,14 +97,13 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     """Backpropagate per-cell feature gradients through one forward pass.
 
     ``upstream`` is (K, C): dLoss/dFeatures. Returns parameter gradients
-    accumulated over all cells; the per-slot gradients are built on first
-    read. Sorted-row gradients are routed to their slots only to feed MLP
-    layers, and the first layer's input gradient is left to ``inputs``.
+    accumulated over all cells. Sorted-row gradients are routed to their
+    slots only to feed MLP layers; no input gradient is formed, since the
+    descriptor's inputs are raw points with no parameters upstream.
     """
     if cache is None:
         raise ValidationError("forward cache is missing; rerun forward with need_cache=True")
-    # a copy, so later changes by the caller cannot reach the lazy per-slot gradients
-    upstream = np.array(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
     n = cache.capacity
     k = cache.valid_count.shape[0]
     c = cache.embedded.shape[1]
@@ -156,15 +112,15 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
 
     w = agg_grad = None
     if cache.kind == "weighted":
-        w = cache.weights.values.copy()
+        w = cache.weights.values
         agg_grad = np.zeros_like(w)
         spec = "kc,knc->n" if w.ndim == 1 else "kc,knc->nc"
         for group in cache.groups:
             agg_grad[n - group.count :] += np.einsum(spec, upstream[group.cells], group.values)
 
     layers = cache.params.layers
-    if not layers:  # the canonical order cancels out: inputs are the embedding
-        return Gradients([], agg_grad, cache, upstream, w)
+    if not layers:  # no MLP parameters: nothing to route or order
+        return Gradients([], agg_grad)
 
     d_rows = _route(cache, upstream, w)
     order = _canonical_row_order(cache.embedded, cache.groups)
@@ -178,9 +134,7 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
         if i:
             dy = dz @ layer.weight.T
     layer_grads.reverse()
-    return Gradients(
-        layer_grads, agg_grad, cache, upstream, None, d_rows, (order, dz, layers[0].weight.copy())
-    )
+    return Gradients(layer_grads, agg_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +478,8 @@ class OptimizerState:
         for name, entry in doc.get("moments", {}).items():
             shape = tuple(entry["shape"])
             state.moments[name] = (
-                np.asarray(entry["m"], dtype=np.float64).reshape(shape),
-                np.asarray(entry["v"], dtype=np.float64).reshape(shape),
+                _array_from_doc(entry["m"], shape),
+                _array_from_doc(entry["v"], shape),
             )
         return state
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import AggregationWeights, MlpParams, _group_perm, _occupied, descriptor_forward
+from .descriptor import AggregationWeights, MlpParams, _occupied, _sort_perm, descriptor_forward
 from .gridding import cell_batch_from_arrays
 
 
@@ -143,10 +143,11 @@ def run_sorted_contract_suite(
         expected[row < pad] = 0.0
         ok = np.all(cache.sorted_values.view(np.uint64) == expected.view(np.uint64), axis=(1, 2))
         for group in cache.groups:
-            perm = _group_perm(group, cache.embedded, cache.kind)
+            block = cache.embedded[group.rows]
+            perm = _sort_perm(block, cache.kind)
             slots = np.arange(group.count)[:, None]
             bijective = (np.sort(perm, axis=1) == slots).all(axis=(1, 2))
-            read_back = np.take_along_axis(cache.embedded[group.rows], perm, axis=1)
+            read_back = np.take_along_axis(block, perm, axis=1)
             ok[group.cells] &= bijective & (read_back == group.values).all(axis=(1, 2))
         cases += ok.size
         failures += int(ok.size - ok.sum())

@@ -68,7 +68,10 @@ def _grid_spec(config: dict, args) -> GridSpec:
     overrides["mode"] = mode
     doc = json.loads(base.to_json())
     doc.update(overrides)
-    return GridSpec.from_json(json.dumps(doc))
+    try:
+        return GridSpec.from_json(json.dumps(doc))
+    except ValueError as exc:  # FileFormatError included: the values come from the config
+        raise ValidationError(f"bad grid config: {exc}") from exc
 
 
 def _descriptor_setup(

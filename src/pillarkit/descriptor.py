@@ -261,8 +261,8 @@ class FillGroup:
     rows; the max kind keeps none. ``perm[i, r, ch]`` is the slot that
     sorted row r of channel ch came from; for the max kind only the last row,
     the slot of each channel's maximum (the last one when maxima tie, as the
-    stable sort would place it). Only gradient routing reads ``perm``, so it
-    stays None until ``_group_perm`` computes it.
+    stable sort would place it). Only gradient routing reads ``perm``, so the
+    forward sets it only when the backward will route through it.
     """
 
     count: int
@@ -283,32 +283,25 @@ def _fill_groups(counts: np.ndarray) -> list[FillGroup]:
     ]
 
 
-def _group_perm(
-    group: FillGroup, embedded: np.ndarray, kind: str, block: np.ndarray | None = None
-) -> np.ndarray:
-    """The group's source-slot permutation, computed on its first request.
+def _sort_perm(block: np.ndarray, kind: str) -> np.ndarray:
+    """The source-slot permutation of a (k_c, count, C) block's per-channel sort.
 
-    ``embedded`` holds the (P, C) occupied rows the group indexes; ``block``
-    is the group's (k_c, count, C) block when the caller has taken it already.
+    For the max kind only the last sorted row: (k_c, 1, C).
     """
-    if group.perm is None:
-        if block is None:
-            block = np.take(embedded, group.rows, axis=0)
-        if kind == "max":
-            group.perm = (group.count - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
-        elif _FAULT_MODE == "skip-sort":
-            group.perm = np.broadcast_to(np.arange(group.count)[None, :, None], block.shape)
-        else:
-            group.perm = np.argsort(block, axis=1, kind="stable")
-    return group.perm
+    count = block.shape[1]
+    if kind == "max":
+        return (count - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
+    if _FAULT_MODE == "skip-sort":
+        return np.broadcast_to(np.arange(count)[None, :, None], block.shape)
+    return np.argsort(block, axis=1, kind="stable")
 
 
 def _sort_group(group: FillGroup, embedded: np.ndarray, need_perm: bool) -> None:
     """Sort each channel of the group's (k_c, count, C) block ascending."""
     block = np.take(embedded, group.rows, axis=0)
     if need_perm:
-        perm = _group_perm(group, embedded, "weighted", block)
-        group.values = np.take_along_axis(block, perm, axis=1)
+        group.perm = _sort_perm(block, "weighted")
+        group.values = np.take_along_axis(block, group.perm, axis=1)
     elif _FAULT_MODE == "skip-sort":
         group.values = block
     else:
@@ -400,10 +393,9 @@ class ForwardCache:
     """Everything descriptor_backward needs from a forward pass.
 
     Arrays with a leading P axis hold the P occupied slots of the batch,
-    cell by cell in slot order. The groups carry their sorted blocks; their
-    permutations are computed in the forward only when the backward routes
-    through them (an MLP with layers, max or weighted kind), otherwise on
-    request by ``_group_perm``.
+    cell by cell in slot order. The groups carry their sorted blocks, and
+    their permutations exactly when the backward routes through them: an MLP
+    with layers and the weighted or max kind.
     """
 
     kind: str
@@ -479,7 +471,7 @@ def descriptor_forward(
             block = np.take(embedded, group.rows, axis=0)
             features[group.cells] = block.max(axis=1)
             if need_perm:
-                _group_perm(group, embedded, kind, block)
+                group.perm = _sort_perm(block, kind)
             continue
         _sort_group(group, embedded, need_perm)
         w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
@@ -493,7 +485,7 @@ def descriptor_forward(
         kind=kind,
         params=params,
         weights=weights,
-        valid_count=counts.copy(),
+        valid_count=counts,
         capacity=n,
         layer_inputs=layer_inputs,
         layer_preacts=layer_preacts,
@@ -525,11 +517,19 @@ def descriptor_to_doc(params: MlpParams, weights: AggregationWeights | None) -> 
     }
 
 
+def _array_from_doc(values, shape) -> np.ndarray:
+    """A checkpoint's row-major float array in its recorded shape."""
+    try:
+        return np.asarray(values, dtype=np.float64).reshape(shape)
+    except ValueError as exc:  # unparsable values, or too few or too many of them
+        raise FileFormatError(f"bad checkpoint array: {exc}") from exc
+
+
 def descriptor_from_doc(doc: dict) -> tuple[MlpParams, AggregationWeights | None]:
     try:
         layers = [
             MlpLayer(
-                weight=np.asarray(entry["weight"], dtype=np.float64).reshape(entry["shape"]),
+                weight=_array_from_doc(entry["weight"], entry["shape"]),
                 bias=np.asarray(entry["bias"], dtype=np.float64),
                 activation=entry["activation"],
             )
@@ -537,10 +537,7 @@ def descriptor_from_doc(doc: dict) -> tuple[MlpParams, AggregationWeights | None
         ]
         agg = doc.get("aggregation")
         weights = (
-            AggregationWeights(
-                np.asarray(agg["values"], dtype=np.float64).reshape(agg["shape"]),
-                agg["mode"],
-            )
+            AggregationWeights(_array_from_doc(agg["values"], agg["shape"]), agg["mode"])
             if agg
             else None
         )

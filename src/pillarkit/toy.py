@@ -30,6 +30,7 @@ from .autograd import (
 from .descriptor import (
     AggregationWeights,
     MlpParams,
+    _array_from_doc,
     descriptor_forward,
     descriptor_from_doc,
     descriptor_to_doc,
@@ -431,17 +432,18 @@ def load_checkpoint(
     try:
         doc = json.loads(Path(path).read_text())
         params, weights = descriptor_from_doc(doc["descriptor"])
-        model = TrainedModel(
-            params=params,
-            weights=weights,
-            head_weight=np.asarray(doc["head"]["weight"], dtype=np.float64),
-            head_bias=np.asarray(doc["head"]["bias"], dtype=np.float64),
-            kind=doc["kind"],
-            step=int(doc["step"]),
-        )
         state = OptimizerState.from_doc(doc["optimizer"])
         config = TrainConfig.from_doc(doc["train_config"])
         task_spec = ToyTaskSpec.from_doc(doc["task_spec"])
+        c_out = params.output_channels(task_spec.channels)
+        model = TrainedModel(
+            params=params,
+            weights=weights,
+            head_weight=_array_from_doc(doc["head"]["weight"], (c_out,)),
+            head_bias=_array_from_doc(doc["head"]["bias"], (1,)),
+            kind=doc["kind"],
+            step=int(doc["step"]),
+        )
         return model, state, config, task_spec
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"bad training checkpoint: {exc}") from exc

@@ -43,16 +43,21 @@ def make_random_setup(seed, k=2, n=4, c_in=3, widths=(5, 3), counts=None, activa
 # ---------------------------------------------------------------------------
 
 
+def _eye_mlp():
+    """One identity layer: d_weight = X.T @ d_rows exposes the routed rows."""
+    return MlpParams([MlpLayer(np.eye(2), np.zeros(2), "identity")])
+
+
 def test_identity_perm_routes_weight_times_upstream():
     cell = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # already sorted
     batch = cell_batch_from_arrays(cell[None])
     w = AggregationWeights(np.array([0.2, 0.3, 0.5]))
-    _, cache = descriptor_forward(MlpParams([]), w, batch, "weighted")
+    _, cache = descriptor_forward(_eye_mlp(), w, batch, "weighted")
     upstream = np.array([[1.0, 2.0]])
-    grads = descriptor_backward(cache, upstream)
-    expected = w.values[:, None] * upstream[0][None, :]
-    np.testing.assert_array_equal(grads.embedded[0], expected)
-    np.testing.assert_array_equal(grads.inputs[0], expected)
+    ((d_weight, d_bias),) = descriptor_backward(cache, upstream).layers
+    d_rows = w.values[:, None] * upstream[0][None, :]
+    np.testing.assert_allclose(d_weight, [[2.3, 4.6], [2.3, 4.6]], rtol=1e-15)
+    np.testing.assert_allclose(d_bias, d_rows.sum(axis=0), rtol=1e-15)
 
 
 def test_one_hot_upstream_gives_matrix_column_as_weight_grad():
@@ -67,25 +72,22 @@ def test_one_hot_upstream_gives_matrix_column_as_weight_grad():
     np.testing.assert_array_equal(grads.agg, cache.sorted_values[0][:, 1])
 
 
-def test_padded_rows_contribute_zero_input_gradient():
+def test_padded_rows_contribute_no_gradient():
     cell = np.zeros((4, 2))
     cell[:2] = [[1.0, 2.0], [3.0, 0.5]]
     batch = cell_batch_from_arrays(cell[None], np.array([2]))
     w = AggregationWeights(np.array([1.0, 1.0, 1.0, 1.0]))  # padding rows weighted too
-    _, cache = descriptor_forward(MlpParams([]), w, batch, "weighted")
-    grads = descriptor_backward(cache, np.ones((1, 2)))
-    assert not grads.embedded[0, 2:].any()
-    assert not grads.inputs[0, 2:].any()
+    _, cache = descriptor_forward(_eye_mlp(), w, batch, "weighted")
+    ((_, d_bias),) = descriptor_backward(cache, np.ones((1, 2))).layers
+    np.testing.assert_array_equal(d_bias, [2.0, 2.0])  # [4, 4] if padding were routed
 
 
 def _naive_backward(params, w, batch, upstream, kind="weighted"):
     """Independent reimplementation: per-cell, per-slot python loops over the
-    padded slots. Returns (layer grads, agg grad, d_embedded, d_inputs); the
-    agg grad is None for the max and mean kinds."""
+    padded slots. Returns (layer grads, agg grad); the agg grad is None for
+    the max and mean kinds."""
     d_layers = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers]
     d_w = np.zeros_like(w.values) if kind == "weighted" else None
-    d_embedded = np.zeros((batch.num_cells, batch.capacity, upstream.shape[1]))
-    d_inputs = np.zeros_like(batch.data)
     for k in range(batch.num_cells):
         n_valid = int(batch.valid_count[k])
         n = batch.capacity
@@ -129,7 +131,6 @@ def _naive_backward(params, w, batch, upstream, kind="weighted"):
                 for ch in range(c):
                     if r >= n - n_valid:
                         d_emb[perm[r, ch], ch] += w_rows[r, ch] * upstream[k, ch]
-        d_embedded[k] = d_emb
         dy = d_emb
         for li in reversed(range(len(params.layers))):
             layer = params.layers[li]
@@ -137,8 +138,7 @@ def _naive_backward(params, w, batch, upstream, kind="weighted"):
             d_layers[li][0][...] += xs[li].T @ dz
             d_layers[li][1][...] += dz.sum(axis=0)
             dy = dz @ layer.weight.T
-        d_inputs[k] = dy
-    return d_layers, d_w, d_embedded, d_inputs
+    return d_layers, d_w
 
 
 def test_backward_matches_naive_loop_oracle():
@@ -146,32 +146,12 @@ def test_backward_matches_naive_loop_oracle():
     features, cache = descriptor_forward(params, w, batch, "weighted")
     upstream = rng.standard_normal(features.shape)
     grads = descriptor_backward(cache, upstream)
-    d_layers, d_w, _, _ = _naive_backward(params, w, batch, upstream)
+    d_layers, d_w = _naive_backward(params, w, batch, upstream)
 
     np.testing.assert_allclose(grads.agg, d_w, rtol=1e-12, atol=1e-12)
     for (dw_got, db_got), (dw_exp, db_exp) in zip(grads.layers, d_layers):
         np.testing.assert_allclose(dw_got, dw_exp, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(db_got, db_exp, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("mode", ["shared", "per-channel"])
-def test_backward_matches_naive_loop_oracle_at_every_fill_level(mode):
-    n = 6
-    counts = np.random.default_rng(34).permutation(np.repeat(np.arange(1, n + 1), 2))
-    params, _, batch, rng = make_random_setup(34, k=counts.size, n=n, counts=counts)
-    shape = (n,) if mode == "shared" else (n, params.out_dim)
-    w = AggregationWeights(rng.standard_normal(shape), mode)
-    features, cache = descriptor_forward(params, w, batch, "weighted")
-    upstream = rng.standard_normal(features.shape)
-    grads = descriptor_backward(cache, upstream)
-    d_layers, d_w, d_embedded, d_inputs = _naive_backward(params, w, batch, upstream)
-
-    np.testing.assert_allclose(grads.agg, d_w, rtol=1e-12, atol=1e-12)
-    for (dw_got, db_got), (dw_exp, db_exp) in zip(grads.layers, d_layers):
-        np.testing.assert_allclose(dw_got, dw_exp, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(db_got, db_exp, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(grads.embedded, d_embedded, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(grads.inputs, d_inputs, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -179,34 +159,30 @@ def test_backward_matches_naive_loop_oracle_at_every_fill_level(mode):
                   ("mean", None)]
 )
 @pytest.mark.parametrize("widths", [(5, 3), ()])
-def test_lazy_slot_grads_ignore_later_caller_changes_and_passes(kind, mode, widths):
-    # per-slot gradients are built on first read; by then the caller has
-    # overwritten its upstream buffer and weights and run another pass
+def test_backward_matches_naive_loop_oracle_at_every_fill_level(kind, mode, widths):
     n = 6
-    counts = np.random.default_rng(37).permutation(np.repeat(np.arange(1, n + 1), 2))
-    params, _, batch, rng = make_random_setup(37, k=counts.size, n=n, counts=counts)
+    counts = np.random.default_rng(34).permutation(np.repeat(np.arange(1, n + 1), 2))
+    params, _, batch, rng = make_random_setup(34, k=counts.size, n=n, counts=counts)
     if not widths:
-        params = MlpParams([])
-    c = params.output_channels(batch.num_channels)
+        params = MlpParams([])  # identity embedding: the forward keeps no permutation
     w = None
     if kind == "weighted":
-        w = AggregationWeights(rng.standard_normal((n,) if mode == "shared" else (n, c)), mode)
+        c = params.output_channels(batch.num_channels)
+        shape = (n,) if mode == "shared" else (n, c)
+        w = AggregationWeights(rng.standard_normal(shape), mode)
     features, cache = descriptor_forward(params, w, batch, kind)
     upstream = rng.standard_normal(features.shape)
-    _, _, d_embedded, d_inputs = _naive_backward(params, w, batch, upstream, kind)
     grads = descriptor_backward(cache, upstream)
+    d_layers, d_w = _naive_backward(params, w, batch, upstream, kind)
 
-    upstream[...] = rng.standard_normal(upstream.shape)
-    if w is not None:
-        w.values += 1.0
-    for layer in params.layers:
-        layer.weight += 1.0
-    _, _, other, _ = make_random_setup(38, k=counts.size, n=n, counts=counts)
-    _, other_cache = descriptor_forward(params, w, other, kind)
-    descriptor_backward(other_cache, upstream).inputs  # read before the first pass's
-
-    assert grads.embedded.tobytes() == d_embedded.tobytes()
-    assert grads.inputs.tobytes() == d_inputs.tobytes()
+    if d_w is None:
+        assert grads.agg is None
+    else:
+        np.testing.assert_allclose(grads.agg, d_w, rtol=1e-12, atol=1e-12)
+    assert len(grads.layers) == len(d_layers)
+    for (dw_got, db_got), (dw_exp, db_exp) in zip(grads.layers, d_layers):
+        np.testing.assert_allclose(dw_got, dw_exp, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db_got, db_exp, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
@@ -221,8 +197,6 @@ def test_identity_embedding_backward_computes_no_permutation(kind):
     grads = descriptor_backward(cache, rng.standard_normal(features.shape))
     grad_dict(grads)
     assert all(group.perm is None for group in cache.groups)
-    grads.inputs  # routing through the sort needs the permutation on first read
-    assert all((group.perm is None) == (kind == "mean") for group in cache.groups)
 
 
 def test_backward_requires_cache_and_matching_shapes():
@@ -240,45 +214,28 @@ def _shuffle_and_backward(params, w, batch, rng):
     grads = descriptor_backward(cache, upstream)
 
     shuffled = batch.data.copy()
-    perms = []
     for k in range(batch.num_cells):
         n_valid = int(batch.valid_count[k])
-        p = rng.permutation(n_valid)
-        perms.append(p)
-        shuffled[k, :n_valid] = batch.data[k, p]
+        shuffled[k, :n_valid] = batch.data[k, rng.permutation(n_valid)]
     sbatch = cell_batch_from_arrays(shuffled, batch.valid_count)
     sfeatures, scache = descriptor_forward(params, w, sbatch, "weighted")
     sgrads = descriptor_backward(scache, upstream)
-    return features, grads, sfeatures, sgrads, perms
+    return features, grads, sfeatures, sgrads
 
 
-def test_backward_parameter_grads_bitwise_invariant_under_shuffles():
-    # ReLU produces exact-zero ties; parameter gradients must not care
-    params, w, batch, rng = make_random_setup(23, k=3, counts=[4, 2, 3])
-    features, grads, sfeatures, sgrads, _ = _shuffle_and_backward(params, w, batch, rng)
-    assert sfeatures.tobytes() == features.tobytes()
-    assert sgrads.agg.tobytes() == grads.agg.tobytes()
-    for (dw_a, db_a), (dw_b, db_b) in zip(grads.layers, sgrads.layers):
-        assert dw_a.tobytes() == dw_b.tobytes()
-        assert db_a.tobytes() == db_b.tobytes()
-
-
-def test_backward_rows_equivariant_on_tie_free_inputs():
-    # identity activation keeps embedded values continuous, so the sort
-    # permutation is unambiguous and per-slot gradients follow the shuffle
+@pytest.mark.parametrize("seed,activation", [(23, "relu"), (33, "identity")])
+def test_backward_parameter_grads_bitwise_invariant_under_shuffles(seed, activation):
+    # ReLU produces exact-zero ties, identity activation a tie-free sort;
+    # parameter gradients must not care either way
     params, w, batch, rng = make_random_setup(
-        33, k=3, counts=[4, 2, 3], activation="identity"
+        seed, k=3, counts=[4, 2, 3], activation=activation
     )
-    features, grads, sfeatures, sgrads, perms = _shuffle_and_backward(params, w, batch, rng)
+    features, grads, sfeatures, sgrads = _shuffle_and_backward(params, w, batch, rng)
     assert sfeatures.tobytes() == features.tobytes()
     assert sgrads.agg.tobytes() == grads.agg.tobytes()
     for (dw_a, db_a), (dw_b, db_b) in zip(grads.layers, sgrads.layers):
         assert dw_a.tobytes() == dw_b.tobytes()
         assert db_a.tobytes() == db_b.tobytes()
-    for k, p in enumerate(perms):
-        n_valid = len(p)
-        np.testing.assert_array_equal(sgrads.inputs[k, :n_valid], grads.inputs[k, p])
-        np.testing.assert_array_equal(sgrads.embedded[k, :n_valid], grads.embedded[k, p])
 
 
 def test_backward_grads_bitwise_invariant_when_distinct_rows_tie_on_order_key():
@@ -315,20 +272,6 @@ def test_backward_grads_bitwise_invariant_when_distinct_rows_tie_on_order_key():
         assert param_grad_bytes(shuffled) == reference
 
 
-def test_identity_embedding_input_grads_equal_embedded_grads():
-    rng = np.random.default_rng(36)
-    n = 5
-    counts = rng.permutation(np.arange(1, n + 1))
-    batch = cell_batch_from_arrays(rng.standard_normal((n, n, 3)), counts)
-    for kind, w in (("weighted", AggregationWeights(rng.standard_normal(n))), ("max", None),
-                    ("mean", None)):
-        features, cache = descriptor_forward(MlpParams([]), w, batch, kind)
-        grads = descriptor_backward(cache, rng.standard_normal(features.shape))
-        assert grads.layers == []
-        assert grads.inputs.tobytes() == grads.embedded.tobytes()
-        assert not grads.embedded[np.arange(n)[None, :] >= counts[:, None]].any()
-
-
 def test_backward_is_deterministic_across_runs():
     params, w, batch, rng = make_random_setup(24)
     features, cache = descriptor_forward(params, w, batch, "weighted")
@@ -339,7 +282,6 @@ def test_backward_is_deterministic_across_runs():
     for (a_w, a_b), (b_w, b_b) in zip(first.layers, second.layers):
         assert a_w.tobytes() == b_w.tobytes()
         assert a_b.tobytes() == b_b.tobytes()
-    assert first.inputs.tobytes() == second.inputs.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["max", "mean"])
@@ -366,17 +308,19 @@ def test_per_channel_weights_pass_fd():
 def test_max_backward_routes_to_argmax_slot():
     cell = np.array([[1.0, 5.0], [3.0, 2.0]])
     batch = cell_batch_from_arrays(cell[None])
-    _, cache = descriptor_forward(MlpParams([]), None, batch, "max")
-    grads = descriptor_backward(cache, np.array([[1.0, 1.0]]))
-    np.testing.assert_array_equal(grads.inputs[0], [[0.0, 1.0], [1.0, 0.0]])
+    _, cache = descriptor_forward(_eye_mlp(), None, batch, "max")
+    ((d_weight, _),) = descriptor_backward(cache, np.array([[1.0, 1.0]])).layers
+    # routed rows [[0, 1], [1, 0]]: each channel's gradient lands on its argmax slot
+    np.testing.assert_array_equal(d_weight, [[3.0, 1.0], [2.0, 5.0]])
 
 
 def test_mean_backward_spreads_uniformly():
     cell = np.array([[1.0, 5.0], [3.0, 2.0], [0.0, 0.0]])
     batch = cell_batch_from_arrays(cell[None], np.array([2]))
-    _, cache = descriptor_forward(MlpParams([]), None, batch, "mean")
-    grads = descriptor_backward(cache, np.array([[1.0, 2.0]]))
-    np.testing.assert_array_equal(grads.inputs[0], [[0.5, 1.0], [0.5, 1.0], [0.0, 0.0]])
+    _, cache = descriptor_forward(_eye_mlp(), None, batch, "mean")
+    ((d_weight, _),) = descriptor_backward(cache, np.array([[1.0, 2.0]])).layers
+    # routed rows [[0.5, 1], [0.5, 1]] on the two occupied slots
+    np.testing.assert_array_equal(d_weight, [[2.0, 4.0], [3.5, 7.0]])
 
 
 # ---------------------------------------------------------------------------

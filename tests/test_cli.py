@@ -131,6 +131,28 @@ def test_bad_config_is_config_error(tmp_path, scan_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("capacity", ["abc", None])
+def test_malformed_grid_value_is_config_error(tmp_path, small_grid_config, scan_file, capacity):
+    config = json.loads(small_grid_config.read_text())
+    config["grid"]["capacity"] = capacity
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["featurize", "--input", str(scan_file), "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+
+
+def test_featurize_checkpoint_with_short_weight_is_io_error(tmp_path, small_grid_config, scan_file):
+    # pillar points decorate to 9 channels; 10 values cannot fill a (9, 4) weight
+    layer = {"shape": [9, 4], "weight": [0.1] * 10, "bias": [0.0] * 4, "activation": "relu"}
+    ckpt = tmp_path / "descriptor.json"
+    ckpt.write_text(json.dumps({"layers": [layer], "aggregation": None}))
+    code = main(["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
+                 "--descriptor", "max", "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+
+
 def test_train_toy_writes_outputs_for_both_kinds(tmp_path, small_grid_config):
     for kind in ("weighted", "max"):
         out = tmp_path / kind
@@ -178,6 +200,37 @@ def test_train_toy_resume_matches_uninterrupted(tmp_path, small_grid_config):
     final_full = json.loads((out_full / "final.json").read_text())
     final_resumed = json.loads((out_resumed / "final.json").read_text())
     assert final_resumed["val_accuracy"] == final_full["val_accuracy"]
+
+
+@pytest.fixture()
+def toy_checkpoint(tmp_path, small_grid_config):
+    """A two-step train-toy checkpoint document and the config that made it."""
+    config = json.loads(small_grid_config.read_text())
+    config["train"].update({"steps": 2, "eval_every": 2})
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "short"
+    assert main(["train-toy", "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "checkpoint.json").read_text()), cfg
+
+
+def _resume(tmp_path, cfg, doc):
+    ckpt = tmp_path / "corrupt.json"
+    ckpt.write_text(json.dumps(doc))
+    return main(["train-toy", "--config", str(cfg), "--resume", str(ckpt),
+                 "--out", str(tmp_path / "resumed")])
+
+
+def test_train_toy_resume_with_short_optimizer_moment_is_io_error(tmp_path, toy_checkpoint):
+    doc, cfg = toy_checkpoint
+    doc["optimizer"]["moments"]["head.weight"]["m"].pop()
+    assert _resume(tmp_path, cfg, doc) == 3
+
+
+def test_train_toy_resume_with_short_head_weight_is_io_error(tmp_path, toy_checkpoint):
+    doc, cfg = toy_checkpoint
+    doc["head"]["weight"].pop()
+    assert _resume(tmp_path, cfg, doc) == 3
 
 
 def test_train_toy_seed_flag_overrides_config_sections(tmp_path, small_grid_config):
