@@ -14,7 +14,7 @@ sequential fold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .descriptor import (
     _occupied_rows,
     descriptor_forward,
 )
-from .errors import NonFiniteError, TieError, ValidationError
+from .documents import Document
+from .errors import FileFormatError, NonFiniteError, TieError, ValidationError
 from .gridding import CellBatch, cell_batch_from_arrays
 
 
@@ -372,6 +373,8 @@ def run_gradient_check_suite(
     finite-difference resolution floor, where central differences cannot
     support a relative comparison at double precision.
     """
+    if num_configs < 1:
+        raise ValidationError("num_configs must be >= 1")
     reports = []
     for i in range(num_configs):
         for attempt in range(max_attempts):
@@ -430,7 +433,7 @@ def run_gradient_check_suite(
 
 
 @dataclass
-class OptimizerState:
+class OptimizerState(Document):
     """SGD or Adam state over a named parameter dictionary."""
 
     algorithm: str = "adam"
@@ -448,39 +451,29 @@ class OptimizerState:
             raise ValidationError("step must be >= 0")
 
     def to_doc(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "step": self.step,
-            "moments": {
-                name: {
-                    "shape": list(m.shape),
-                    "m": m.ravel().tolist(),
-                    "v": v.ravel().tolist(),
-                }
-                for name, (m, v) in self.moments.items()
-            },
+        doc = super().to_doc()
+        doc["moments"] = {
+            name: {"shape": list(m.shape), "m": m.ravel().tolist(), "v": v.ravel().tolist()}
+            for name, (m, v) in self.moments.items()
         }
+        return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "OptimizerState":
-        state = cls(
-            algorithm=doc["algorithm"],
-            lr=float(doc["lr"]),
-            beta1=float(doc["beta1"]),
-            beta2=float(doc["beta2"]),
-            eps=float(doc["eps"]),
-            step=int(doc["step"]),
-        )
-        for name, entry in doc.get("moments", {}).items():
-            shape = tuple(entry["shape"])
-            state.moments[name] = (
-                _array_from_doc(entry["m"], shape),
-                _array_from_doc(entry["v"], shape),
-            )
+    def from_doc(cls, doc, error: type[Exception] = FileFormatError) -> "OptimizerState":
+        """Every scalar is required, unlike in configs; moments default to none."""
+        scalars = [f.name for f in fields(cls) if f.name != "moments"]
+        if not isinstance(doc, dict) or not all(name in doc for name in scalars):
+            raise error(f"optimizer state must be an object holding {scalars}")
+        state = super().from_doc({name: doc[name] for name in scalars}, error)
+        try:
+            for name, entry in doc.get("moments", {}).items():
+                shape = tuple(entry["shape"])
+                state.moments[name] = (
+                    _array_from_doc(entry["m"], shape),
+                    _array_from_doc(entry["v"], shape),
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise error(f"bad optimizer moments: {exc}") from exc
         return state
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import AggregationWeights, MlpParams, descriptor_forward
+from .documents import Document, Seed
 from .errors import ValidationError
 from .gridding import cell_batch_from_arrays
 
@@ -26,7 +27,7 @@ except ImportError:  # pragma: no cover
 
 
 @dataclass
-class BenchConfig:
+class BenchConfig(Document):
     kinds: tuple[str, ...] = ("weighted", "max")
     n_points: int = 32
     channels: int = 64
@@ -37,29 +38,14 @@ class BenchConfig:
     scaling_n: tuple[int, ...] = (8, 32, 128, 256)
     scaling_channels: int = 8
     scaling_points: int = 1 << 18  # total slots per scaling measurement
-    seed: int = 0
-    pin_single_thread: bool = True
+    seed: Seed = 0
 
     def __post_init__(self):
-        if self.repetitions < 1 or self.num_cells < 1:
-            raise ValidationError("repetitions and num_cells must be >= 1")
+        if self.repetitions < 1 or self.num_cells < 1 or min(self.scaling_n, default=1) < 1:
+            raise ValidationError("repetitions, num_cells and scaling_n entries must be >= 1")
         self.kinds = tuple(self.kinds)
         self.mlp_widths = tuple(int(w) for w in self.mlp_widths)
         self.scaling_n = tuple(int(n) for n in self.scaling_n)
-
-    def to_doc(self) -> dict:
-        doc = dict(self.__dict__)
-        for key in ("kinds", "mlp_widths", "scaling_n"):
-            doc[key] = list(doc[key])
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "BenchConfig":
-        known = {k: doc[k] for k in cls().to_doc() if k in doc}
-        for key in ("kinds", "mlp_widths", "scaling_n"):
-            if key in known:
-                known[key] = tuple(known[key])
-        return cls(**known)
 
 
 def _measure_interleaved(
@@ -98,7 +84,7 @@ def bench_descriptor(config: BenchConfig | None = None) -> dict:
     N together with a monotone-growth verdict.
     """
     config = config or BenchConfig()
-    if threadpool_limits is not None and config.pin_single_thread:
+    if threadpool_limits is not None:
         with threadpool_limits(limits=1):
             return _bench_inner(config)
     return _bench_inner(config)
@@ -109,7 +95,7 @@ def _bench_inner(config: BenchConfig) -> dict:
     report: dict = {
         "config": config.to_doc(),
         # pinning needs threadpoolctl; without it the BLAS thread count is left as is
-        "thread_pinning_applied": threadpool_limits is not None and config.pin_single_thread,
+        "thread_pinning_applied": threadpool_limits is not None,
         "outputs_stable": True,
     }
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import AggregationWeights, MlpParams, _occupied, _sort_perm, descriptor_forward
+from .errors import ValidationError
 from .gridding import cell_batch_from_arrays
 
 
@@ -218,6 +219,8 @@ def run_property_suites(
     shuffles: int = 5,
     seed: int = 0,
 ) -> list[SuiteResult]:
+    if num_cells < 1 or shuffles < 1:  # a suite of zero cases would pass vacuously
+        raise ValidationError("num_cells and shuffles must be >= 1")
     return [
         run_invariance_suite(num_cells=num_cells, shuffles=shuffles, seed=seed),
         run_sorted_contract_suite(num_cells=num_cells, seed=seed + 1),

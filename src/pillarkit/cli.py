@@ -26,6 +26,7 @@ from .descriptor import (
     load_descriptor,
     set_fault_mode,
 )
+from .documents import Seed, typed
 from .errors import DivergenceError, FileFormatError, PillarkitError, ValidationError
 from .gridding import CellBatch, GridSpec, build_cell_batch, scatter_to_grid
 from .pointcloud import load_kitti_bin
@@ -59,31 +60,39 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _section(config: dict, name: str) -> dict:
+    """The config's ``name`` object; an absent section reads as empty."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {name!r} must be a JSON object")
+    return section
+
+
+def _seed(args, config: dict) -> int:
+    return typed(Seed, config.get("seed", 0) if args.seed is None else args.seed, "seed")
+
+
 def _grid_spec(config: dict, args) -> GridSpec:
-    mode = args.mode or config.get("grid", {}).get("mode", "pillar")
+    section = _section(config, "grid")
+    mode = args.mode or section.get("mode", "pillar")
     base = (
         GridSpec.kitti_voxel_defaults() if mode == "voxel" else GridSpec.kitti_pillar_defaults()
     )
-    overrides = dict(config.get("grid", {}))
-    overrides["mode"] = mode
-    doc = json.loads(base.to_json())
-    doc.update(overrides)
-    try:
-        return GridSpec.from_json(json.dumps(doc))
-    except ValueError as exc:  # FileFormatError included: the values come from the config
-        raise ValidationError(f"bad grid config: {exc}") from exc
+    return GridSpec.from_doc({**base.to_doc(), **section, "mode": mode})
 
 
 def _descriptor_setup(
     config: dict, args, batch: CellBatch, seed: int
 ) -> tuple[MlpParams, AggregationWeights | None, str]:
-    section = config.get("descriptor", {})
+    section = _section(config, "descriptor")
     kind = args.descriptor or section.get("kind", "weighted")
-    checkpoint = getattr(args, "checkpoint", None) or section.get("checkpoint")
+    checkpoint = getattr(args, "checkpoint", None) or typed(
+        str | None, section.get("checkpoint"), "descriptor.checkpoint"
+    )
     if checkpoint:
         params, weights = load_descriptor(checkpoint)
     else:
-        widths = tuple(section.get("mlp_widths", [64]))
+        widths = typed(tuple[int, ...], section.get("mlp_widths", [64]), "descriptor.mlp_widths")
         activation = section.get("activation", "relu")
         params = (
             MlpParams.create(batch.num_channels, widths, activation=activation, seed=seed)
@@ -96,7 +105,7 @@ def _descriptor_setup(
 
 def cmd_featurize(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     spec = _grid_spec(config, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -132,7 +141,7 @@ def cmd_featurize(args) -> int:
 
 def cmd_train_toy(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _seed(args, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -140,16 +149,14 @@ def cmd_train_toy(args) -> int:
         model, state, train_config, task_spec = load_checkpoint(args.resume)
         # the checkpoint owns the run configuration; the train section may
         # still extend it (typically a larger step budget)
-        merged = train_config.to_doc()
-        merged.update(config.get("train", {}))
-        train_config = TrainConfig.from_doc(merged)
+        train_config = TrainConfig.from_doc({**train_config.to_doc(), **_section(config, "train")})
         dataset = build_toy_dataset(task_spec)
         metrics, model, state = train_descriptor(
             dataset, train_config, resume_from=model, resume_state=state
         )
     else:
-        task_doc = dict(config.get("toy", {}))
-        train_doc = dict(config.get("train", {}))
+        task_doc = dict(_section(config, "toy"))
+        train_doc = dict(_section(config, "train"))
         if args.seed is not None:  # explicit flag beats per-section seeds
             task_doc["seed"] = args.seed
             train_doc["seed"] = args.seed
@@ -187,10 +194,10 @@ def cmd_train_toy(args) -> int:
 
 def cmd_check_grad(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    section = config.get("check", {})
-    num_configs = int(section.get("grad_configs", 100))
-    tolerance = float(section.get("grad_tolerance", 1e-5))
+    seed = _seed(args, config)
+    section = _section(config, "check")
+    num_configs = typed(int, section.get("grad_configs", 100), "check.grad_configs")
+    tolerance = typed(float, section.get("grad_tolerance", 1e-5), "check.grad_tolerance")
 
     reports = run_gradient_check_suite(num_configs=num_configs, seed=seed, tolerance=tolerance)
     worst = max(max(r.groups.values()) for r in reports)
@@ -214,11 +221,11 @@ def cmd_check_grad(args) -> int:
 
 def cmd_prop_test(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    section = config.get("check", {})
-    num_cells = int(section.get("cells", 300))
-    shuffles = int(section.get("shuffles", 5))
-    grad_configs = int(section.get("grad_configs", 10))
+    seed = _seed(args, config)
+    section = _section(config, "check")
+    num_cells = typed(int, section.get("cells", 300), "check.cells")
+    shuffles = typed(int, section.get("shuffles", 5), "check.shuffles")
+    grad_configs = typed(int, section.get("grad_configs", 10), "check.grad_configs")
 
     if args.inject_fault:
         set_fault_mode(args.inject_fault)
@@ -251,7 +258,7 @@ def cmd_prop_test(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
-    section = dict(config.get("bench", {}))
+    section = dict(_section(config, "bench"))
     if args.seed is not None:
         section["seed"] = args.seed
     bench_config = bench_mod.BenchConfig.from_doc(section)

@@ -521,7 +521,7 @@ def _array_from_doc(values, shape) -> np.ndarray:
     """A checkpoint's row-major float array in its recorded shape."""
     try:
         return np.asarray(values, dtype=np.float64).reshape(shape)
-    except ValueError as exc:  # unparsable values, or too few or too many of them
+    except (TypeError, ValueError, OverflowError) as exc:  # not numbers, or the wrong count
         raise FileFormatError(f"bad checkpoint array: {exc}") from exc
 
 
@@ -542,7 +542,7 @@ def descriptor_from_doc(doc: dict) -> tuple[MlpParams, AggregationWeights | None
             else None
         )
         return MlpParams(layers), weights
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValidationError too
         raise FileFormatError(f"bad descriptor checkpoint: {exc}") from exc
 
 

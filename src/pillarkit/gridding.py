@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .documents import Document, Seed
 from .errors import FileFormatError, ValidationError
 from .pointcloud import PointCloud
 
@@ -25,7 +26,7 @@ OVERFLOW_POLICIES = ("keep-first", "seeded-subsample")
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Document):
     """Geometry and capacity of a pillar or voxel grid.
 
     In pillar mode the z axis is a single cell spanning the full z extent;
@@ -40,7 +41,7 @@ class GridSpec:
     capacity: int
     max_cells: int = 12000
     overflow: str = "keep-first"
-    overflow_seed: int = 0
+    overflow_seed: Seed = 0
     decorate: bool = True
 
     def __post_init__(self):
@@ -55,14 +56,22 @@ class GridSpec:
             raise ValidationError("range_max must exceed range_min on every axis")
         if not all(s > 0 for s in self.cell_size):
             raise ValidationError("cell sizes must be positive")
+        if not all(
+            math.isfinite(s) and math.isfinite((hi - lo) / s)
+            for lo, hi, s in zip(self.range_min, self.range_max, self.cell_size)
+        ):
+            raise ValidationError("ranges, cell sizes and cells per axis must be finite")
         if self.capacity < 1:
             raise ValidationError("capacity must be >= 1")
         if self.max_cells < 1:
             raise ValidationError("max_cells must be >= 1")
         if self.overflow not in OVERFLOW_POLICIES:
             raise ValidationError(f"overflow must be one of {OVERFLOW_POLICIES}")
-        if any(d < 1 for d in self.grid_shape):
+        dims = self.grid_shape
+        if any(d < 1 for d in dims):
             raise ValidationError("derived grid dimensions must all be >= 1")
+        if math.prod(dims) > np.iinfo(np.int64).max:  # cell indices are int64
+            raise ValidationError(f"grid {dims} has too many cells to index")
 
     @property
     def gridded_axes(self) -> tuple[int, ...]:
@@ -90,37 +99,13 @@ class GridSpec:
         return c_raw + len(DECORATION_CHANNELS) if self.decorate else c_raw
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "range_min": list(self.range_min),
-                "range_max": list(self.range_max),
-                "cell_size": list(self.cell_size),
-                "capacity": self.capacity,
-                "max_cells": self.max_cells,
-                "overflow": self.overflow,
-                "overflow_seed": self.overflow_seed,
-                "decorate": self.decorate,
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_doc(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
         try:
-            doc = json.loads(text)
-            return cls(
-                mode=doc["mode"],
-                range_min=tuple(doc["range_min"]),
-                range_max=tuple(doc["range_max"]),
-                cell_size=tuple(doc["cell_size"]),
-                capacity=int(doc["capacity"]),
-                max_cells=int(doc.get("max_cells", 12000)),
-                overflow=doc.get("overflow", "keep-first"),
-                overflow_seed=int(doc.get("overflow_seed", 0)),
-                decorate=bool(doc.get("decorate", True)),
-            )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            return cls.from_doc(json.loads(text), FileFormatError)
+        except json.JSONDecodeError as exc:
             raise FileFormatError(f"bad GridSpec document: {exc}") from exc
 
     @classmethod
@@ -156,13 +141,14 @@ class CellBatch:
 
     ``data`` is (K, capacity, C); slots at index >= ``valid_count[k]`` are
     exactly zero in every channel. ``cell_coords`` are unique map-order
-    integer coordinates, sorted row-major.
+    integer coordinates, sorted row-major, and ``spec`` the grid they index;
+    both are None for cells that did not come from a grid.
     """
 
     data: np.ndarray
     valid_count: np.ndarray
-    cell_coords: np.ndarray
-    spec: GridSpec
+    cell_coords: np.ndarray | None = None
+    spec: GridSpec | None = None
     channel_names: tuple[str, ...] = ()
 
     @property
@@ -181,7 +167,7 @@ class CellBatch:
 def cell_batch_from_arrays(
     data: np.ndarray, valid_count: np.ndarray | None = None
 ) -> CellBatch:
-    """Wrap a raw (K, N, C) slot array as a CellBatch with dummy coordinates.
+    """Wrap a raw (K, N, C) slot array as a CellBatch with no grid.
 
     Convenience for feeding descriptors with cells that did not come from a
     grid (toy tasks, benchmarks). Slots past ``valid_count`` are zeroed.
@@ -198,17 +184,7 @@ def cell_batch_from_arrays(
             raise ValidationError("valid_count must be (K,) with entries in [1, N]")
         slot = np.arange(n)
         data = np.where(slot[None, :, None] < valid_count[:, None, None], data, 0.0)
-    spec = GridSpec(
-        mode="pillar",
-        range_min=(0.0, 0.0, 0.0),
-        range_max=(float(max(k, 1)), 1.0, 1.0),
-        cell_size=(1.0, 1.0, 1.0),
-        capacity=n,
-        max_cells=max(k, 1),
-        decorate=False,
-    )
-    coords = np.stack([np.zeros(k, dtype=np.int64), np.arange(k, dtype=np.int64)], axis=1)
-    return CellBatch(data, valid_count, coords, spec)
+    return CellBatch(data, valid_count)
 
 
 def assign_cells(cloud: PointCloud, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:

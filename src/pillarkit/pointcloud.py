@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .documents import Document, Seed
 from .errors import FileFormatError, NonFiniteError, ValidationError
 
 SPATIAL_CHANNELS = ("x", "y", "z")
@@ -102,7 +103,7 @@ def write_kitti_bin(cloud: PointCloud, path: str | Path) -> None:
 
 
 @dataclass
-class SyntheticCloudSpec:
+class SyntheticCloudSpec(Document):
     """Recipe for a deterministic synthetic point cloud.
 
     ``extent_min``/``extent_max`` bound the spatial box in meters. The
@@ -115,7 +116,7 @@ class SyntheticCloudSpec:
     extent_min: tuple[float, float, float]
     extent_max: tuple[float, float, float]
     count: int
-    seed: int
+    seed: Seed
     label: int | None = None
     clusters: int = 3
     sigma: float = 0.1
@@ -145,40 +146,13 @@ class SyntheticCloudSpec:
                 raise ValidationError("equal-extremes-pair label must be 0 or 1")
 
     def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "extent": [list(self.extent_min), list(self.extent_max)],
-            "count": self.count,
-            "seed": self.seed,
-            "label": self.label,
-        }
-        if self.kind == "gaussian-clusters":
-            doc["clusters"] = self.clusters
-            doc["sigma"] = self.sigma
-            if self.centers is not None:
-                doc["centers"] = [list(c) for c in self.centers]
-        if self.kind == "equal-extremes-pair":
-            doc["edge_band"] = self.edge_band
-        return json.dumps(doc, indent=2)
+        return json.dumps(self.to_doc(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticCloudSpec":
         try:
-            doc = json.loads(text)
-            extent = doc["extent"]
-            return cls(
-                kind=doc["kind"],
-                extent_min=tuple(extent[0]),
-                extent_max=tuple(extent[1]),
-                count=int(doc["count"]),
-                seed=int(doc["seed"]),
-                label=doc.get("label"),
-                clusters=int(doc.get("clusters", 3)),
-                sigma=float(doc.get("sigma", 0.1)),
-                centers=[tuple(c) for c in doc["centers"]] if doc.get("centers") else None,
-                edge_band=float(doc.get("edge_band", 0.1)),
-            )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            return cls.from_doc(json.loads(text), FileFormatError)
+        except json.JSONDecodeError as exc:
             raise FileFormatError(f"bad SyntheticCloudSpec document: {exc}") from exc
 
 

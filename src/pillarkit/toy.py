@@ -28,6 +28,7 @@ from .autograd import (
     rebuild_from_dict,
 )
 from .descriptor import (
+    DESCRIPTOR_KINDS,
     AggregationWeights,
     MlpParams,
     _array_from_doc,
@@ -35,6 +36,7 @@ from .descriptor import (
     descriptor_from_doc,
     descriptor_to_doc,
 )
+from .documents import Document, Seed, typed
 from .errors import DivergenceError, FileFormatError, NonFiniteError, ValidationError
 from .gridding import cell_batch_from_arrays
 from .pointcloud import _equal_extremes_interior
@@ -43,12 +45,12 @@ TOY_TASKS = ("equal-extremes", "quantile-regression")
 
 
 @dataclass
-class ToyTaskSpec:
+class ToyTaskSpec(Document):
     task: str = "equal-extremes"
     cells_per_class: int = 256
     n_points: int = 32
     channels: int = 4
-    seed: int = 0
+    seed: Seed = 0
     val_fraction: float = 0.25
     edge_band: float = 0.1
     quantile: float = 0.5  # quantile-regression target
@@ -62,22 +64,6 @@ class ToyTaskSpec:
             raise ValidationError("val_fraction must be in (0, 1)")
         if not 0.0 <= self.quantile <= 1.0:
             raise ValidationError("quantile must be in [0, 1]")
-
-    def to_doc(self) -> dict:
-        return {
-            "task": self.task,
-            "cells_per_class": self.cells_per_class,
-            "n_points": self.n_points,
-            "channels": self.channels,
-            "seed": self.seed,
-            "val_fraction": self.val_fraction,
-            "edge_band": self.edge_band,
-            "quantile": self.quantile,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ToyTaskSpec":
-        return cls(**{k: doc[k] for k in cls().to_doc() if k in doc})
 
 
 @dataclass
@@ -175,7 +161,7 @@ def quantile_threshold_oracle(cells: np.ndarray, threshold: float = 0.66) -> np.
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Document):
     kind: str = "weighted"
     mlp_widths: tuple[int, ...] = ()  # () = identity embedding
     activation: str = "relu"
@@ -184,27 +170,17 @@ class TrainConfig:
     steps: int = 2000
     batch_size: int = 64
     eval_every: int = 100
-    seed: int = 0
+    seed: Seed = 0
     freeze_agg: bool = False
     agg_noise: float = 0.0
     head_init_scale: float = 0.05
 
     def __post_init__(self):
+        if self.kind not in DESCRIPTOR_KINDS:
+            raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
         if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValidationError("steps, batch_size, eval_every must be >= 1")
         self.mlp_widths = tuple(int(w) for w in self.mlp_widths)
-
-    def to_doc(self) -> dict:
-        doc = dict(self.__dict__)
-        doc["mlp_widths"] = list(self.mlp_widths)
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TrainConfig":
-        known = {k: doc[k] for k in cls().to_doc() if k in doc}
-        if "mlp_widths" in known:
-            known["mlp_widths"] = tuple(known["mlp_widths"])
-        return cls(**known)
 
 
 @dataclass
@@ -429,21 +405,26 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[TrainedModel, OptimizerState, TrainConfig, ToyTaskSpec]:
+    """Read a :func:`save_checkpoint` document; any malformed part is a FileFormatError."""
     try:
         doc = json.loads(Path(path).read_text())
         params, weights = descriptor_from_doc(doc["descriptor"])
         state = OptimizerState.from_doc(doc["optimizer"])
-        config = TrainConfig.from_doc(doc["train_config"])
-        task_spec = ToyTaskSpec.from_doc(doc["task_spec"])
+        config = TrainConfig.from_doc(doc["train_config"], FileFormatError)
+        task_spec = ToyTaskSpec.from_doc(doc["task_spec"], FileFormatError)
+        if doc["kind"] != config.kind:
+            raise FileFormatError(
+                f"kind {doc['kind']!r} differs from the train_config kind {config.kind!r}"
+            )
         c_out = params.output_channels(task_spec.channels)
         model = TrainedModel(
             params=params,
             weights=weights,
             head_weight=_array_from_doc(doc["head"]["weight"], (c_out,)),
             head_bias=_array_from_doc(doc["head"]["bias"], (1,)),
-            kind=doc["kind"],
-            step=int(doc["step"]),
+            kind=config.kind,
+            step=typed(int, doc["step"], "step", FileFormatError),
         )
         return model, state, config, task_spec
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError and ValidationError too
         raise FileFormatError(f"bad training checkpoint: {exc}") from exc

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pillarkit import BenchConfig, ValidationError, bench_descriptor
+from pillarkit import BenchConfig, ValidationError, bench, bench_descriptor
 from pillarkit.bench import report_to_json
 
 
@@ -17,7 +17,6 @@ def tiny_report():
         mlp_widths=(8,),
         scaling_n=(4, 16),
         scaling_points=1 << 10,
-        pin_single_thread=False,
     )
     return bench_descriptor(config)
 
@@ -30,7 +29,7 @@ def test_report_structure(tiny_report):
     assert tiny_report["full_overhead_ratio"] > 0
     assert [e["n_points"] for e in tiny_report["aggregation_scaling"]] == [4, 16]
     assert "aggregation_ratio_monotone" in tiny_report
-    assert tiny_report["thread_pinning_applied"] is False  # pin_single_thread=False
+    assert tiny_report["thread_pinning_applied"] == (bench.threadpool_limits is not None)
 
 
 def test_benchmark_never_perturbs_results(tiny_report):
@@ -60,7 +59,6 @@ def test_mean_kind_measurable():
         mlp_widths=(4,),
         scaling_n=(4,),
         scaling_points=1 << 8,
-        pin_single_thread=False,
     )
     report = bench_descriptor(config)
     assert set(report["full_descriptor"]) == {"weighted", "max", "mean"}

@@ -131,15 +131,55 @@ def test_bad_config_is_config_error(tmp_path, scan_file):
     assert code == 2
 
 
-@pytest.mark.parametrize("capacity", ["abc", None])
-def test_malformed_grid_value_is_config_error(tmp_path, small_grid_config, scan_file, capacity):
+@pytest.mark.parametrize(
+    "command, key, value, expected",
+    [
+        ("featurize", "grid", "abc", 2),
+        ("featurize", "seed", "x", 2),
+        ("prop-test", "check.cells", "x", 2),
+        ("prop-test", "check.cells", 20.5, 2),
+        ("featurize", "descriptor.mlp_widths", "ab", 2),
+        ("train-toy", "train.steps", "x", 2),
+        ("train-toy", "train.steps", 2.5, 2),
+        ("train-toy", "toy.cells_per_class", 2.5, 2),
+        ("bench", "bench.repetitions", 2.5, 2),
+        ("featurize", "grid.capacity", "abc", 2),
+        ("featurize", "grid.capacity", None, 2),
+        ("featurize", "grid.capacity", 3.5, 2),
+        ("featurize", "grid.capacity", "32", 2),
+        pytest.param(  # JSON reads 1e400 as inf
+            "featurize", "grid.range_max", ["1e400", 8.0, 1.0], 2,
+            id="featurize-grid.range_max-1e400-2",
+        ),
+        ("featurize", "grid.decorate", "false", 2),
+        ("featurize", "grid.cell_size", [1e-300, 1.0, 2.0], 2),  # too many cells for int64
+        ("featurize", "seed", -1, 2),
+        ("train-toy", "train.seed", -1, 2),
+        ("prop-test", "check.shuffles", 0, 2),
+        ("check-grad", "check.grad_configs", 0, 2),
+        ("bench", "bench.scaling_n", [0], 2),
+        ("train-toy", "toy.n_points", 8.0, 0),  # an integral float is an integer
+    ],
+)
+def test_malformed_config_value_is_config_error(
+    tmp_path, small_grid_config, scan_file, capsys, command, key, value, expected
+):
     config = json.loads(small_grid_config.read_text())
-    config["grid"]["capacity"] = capacity
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(config))
-    code = main(["featurize", "--input", str(scan_file), "--config", str(cfg),
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
+    *sections, name = key.split(".")
+    target = config
+    for section in sections:
+        target = target[section]
+    target[name] = value
+    cfg = tmp_path / "malformed.json"
+    cfg.write_text(json.dumps(config).replace('"1e400"', "1e400"))
+    argv = [command, "--config", str(cfg)]
+    if command == "featurize":
+        argv += ["--input", str(scan_file)]
+    if command in ("featurize", "train-toy"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == expected
+    if expected:
+        assert "error: invalid configuration" in capsys.readouterr().err
 
 
 def test_featurize_checkpoint_with_short_weight_is_io_error(tmp_path, small_grid_config, scan_file):
@@ -221,16 +261,40 @@ def _resume(tmp_path, cfg, doc):
                  "--out", str(tmp_path / "resumed")])
 
 
-def test_train_toy_resume_with_short_optimizer_moment_is_io_error(tmp_path, toy_checkpoint):
-    doc, cfg = toy_checkpoint
-    doc["optimizer"]["moments"]["head.weight"]["m"].pop()
-    assert _resume(tmp_path, cfg, doc) == 3
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def corrupt(doc):
+        for part in path:
+            doc = doc[part]
+        doc[key] = value
+
+    return corrupt
 
 
-def test_train_toy_resume_with_short_head_weight_is_io_error(tmp_path, toy_checkpoint):
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda doc: doc["optimizer"]["moments"]["head.weight"]["m"].pop(),
+                     id="short-optimizer-moment"),
+        pytest.param(lambda doc: doc["head"]["weight"].pop(), id="short-head-weight"),
+        pytest.param(_set("optimizer", "lr", "x"), id="optimizer-lr-string"),
+        pytest.param(_set("optimizer", "step", "x"), id="optimizer-step-string"),
+        pytest.param(_set("optimizer", "algorithm", "zzz"), id="optimizer-algorithm"),
+        pytest.param(_set("step", "x"), id="step-string"),
+        pytest.param(_set("task_spec", "task", "zzz"), id="task"),
+        pytest.param(_set("descriptor", "aggregation", "mode", "zzz"), id="aggregation-mode"),
+        pytest.param(_set("train_config", [1]), id="train-config-not-object"),
+        pytest.param(_set("kind", "max"), id="kind-mismatch"),
+    ],
+)
+def test_train_toy_resume_from_corrupt_checkpoint_is_io_error(
+    tmp_path, toy_checkpoint, capsys, corrupt
+):
     doc, cfg = toy_checkpoint
-    doc["head"]["weight"].pop()
+    corrupt(doc)
     assert _resume(tmp_path, cfg, doc) == 3
+    assert "error: I/O failure" in capsys.readouterr().err
 
 
 def test_train_toy_seed_flag_overrides_config_sections(tmp_path, small_grid_config):

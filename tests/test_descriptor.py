@@ -294,10 +294,7 @@ def test_identity_descriptor_matches_hand_composition():
 
 def test_descriptor_empty_batch_returns_empty_features():
     batch = cell_batch_from_arrays(np.zeros((1, 2, 3)))
-    empty = type(batch)(
-        data=batch.data[:0], valid_count=batch.valid_count[:0],
-        cell_coords=batch.cell_coords[:0], spec=batch.spec,
-    )
+    empty = type(batch)(data=batch.data[:0], valid_count=batch.valid_count[:0])
     params = MlpParams.create(3, (4,), seed=0)
     features, cache = descriptor_forward(params, None, empty, "max")
     assert features.shape == (0, 4)
