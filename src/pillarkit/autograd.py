@@ -27,7 +27,6 @@ from .descriptor import (
     _array_from_doc,
     _embed,
     _fill_groups,
-    _occupied_rows,
     descriptor_forward,
 )
 from .documents import Document
@@ -247,11 +246,10 @@ def is_tie_free(
     pins those slots dead, so they stay at zero under the nudge and carry no
     gradient either way.
     """
-    counts = batch.valid_count
-    embedded, _, preacts = _embed(params, _occupied_rows(batch.data, counts), need_cache=True)
+    embedded, _, preacts = _embed(params, batch.rows, need_cache=True)
     slack = margin * step
     final_relu = bool(params.layers) and params.layers[-1].activation == "relu"
-    for group in _fill_groups(counts):
+    for group in _fill_groups(batch.valid_count):
         vals = np.sort(embedded[group.rows], axis=1)
         tied = np.diff(vals, axis=1) < slack
         if final_relu:
@@ -503,7 +501,9 @@ def optimizer_step(
         if state.algorithm == "sgd":
             out[name] = theta - state.lr * grad
         else:
-            m, v = state.moments.get(name, (np.zeros_like(theta), np.zeros_like(theta)))
+            if name not in state.moments:
+                state.moments[name] = (np.zeros_like(theta), np.zeros_like(theta))
+            m, v = state.moments[name]
             m = state.beta1 * m + (1.0 - state.beta1) * grad
             v = state.beta2 * v + (1.0 - state.beta2) * (grad * grad)
             state.moments[name] = (m, v)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import AggregationWeights, MlpParams, _occupied, _sort_perm, descriptor_forward
+from .descriptor import AggregationWeights, MlpParams, _sort_perm, descriptor_forward
 from .errors import ValidationError
-from .gridding import cell_batch_from_arrays
+from .gridding import _occupied, cell_batch_from_arrays
 
 
 @dataclass

@@ -120,18 +120,28 @@ def cmd_featurize(args) -> int:
     blob, header = fmap.save(out_dir / "featuremap")
 
     total_cells = int(np.prod(spec.grid_shape))
+    points_kept = int(batch.valid_count.sum())
     summary = {
         "input": str(args.input),
         "mode": spec.mode,
         "descriptor": kind,
         "seed": seed,
         "num_points": cloud.num_points,
+        "points_kept": points_kept,
         "num_cells": batch.num_cells,
+        # cells holding 1, 2, ..., capacity points
+        "fill_histogram": np.bincount(batch.valid_count, minlength=spec.capacity + 1)[1:].tolist(),
         "occupancy": batch.num_cells / total_cells,
         "feature_channels": fmap.num_channels,
         "elapsed_s": time.perf_counter() - t0,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    if points_kept == 0:
+        print(
+            f"warning: featurize kept none of the {cloud.num_points} points inside the grid "
+            f"range; the feature map is all zeros",
+            file=sys.stderr,
+        )
     print(
         f"featurize: {cloud.num_points} points -> {batch.num_cells} cells "
         f"({spec.mode}, {kind}), map {fmap.values.shape} -> {blob}"

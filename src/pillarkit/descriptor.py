@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .gridding import CellBatch
+from .gridding import CellBatch, _to_slots
 
 ACTIVATIONS = ("relu", "identity")
 DESCRIPTOR_KINDS = ("weighted", "max", "mean")
@@ -193,24 +193,6 @@ def _check_padding(cell: np.ndarray, valid_count: int) -> None:
         raise ValidationError("slots at index >= valid_count must be zero")
 
 
-def _occupied(counts: np.ndarray, n: int) -> np.ndarray:
-    """(K, N) mask of the occupied slots."""
-    return np.arange(n)[None, :] < counts[:, None]
-
-
-def _occupied_rows(data: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The occupied slots of (K, N, C) slot data as cell-major rows (P, C)."""
-    k, n, c = data.shape
-    return np.take(data.reshape(k * n, c), np.flatnonzero(_occupied(counts, n)), axis=0)
-
-
-def _to_slots(rows: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    """Scatter cell-major occupied rows (P, C) into zero-padded (K, N, C) slots."""
-    out = np.zeros((counts.shape[0], n, rows.shape[1]))
-    out[_occupied(counts, n)] = rows
-    return out
-
-
 def mlp_forward(params: MlpParams, cell: np.ndarray, valid_count: int) -> np.ndarray:
     """Embed one cell's valid slots through the shared MLP.
 
@@ -274,6 +256,10 @@ class FillGroup:
 
 def _fill_groups(counts: np.ndarray) -> list[FillGroup]:
     """Group cells by fill level, levels ascending, cells in batch order."""
+    k = counts.shape[0]
+    if k and (counts == counts[0]).all():  # one fill level, as in full cells
+        c = int(counts[0])
+        return [FillGroup(c, np.arange(k), np.arange(k * c).reshape(k, c))]
     by_fill = np.argsort(counts, kind="stable")
     levels, first = np.unique(counts[by_fill], return_index=True)
     starts = np.cumsum(counts) - counts
@@ -442,10 +428,9 @@ def descriptor_forward(
     """
     if kind not in DESCRIPTOR_KINDS:
         raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
-    data = batch.data
     counts = batch.valid_count
-    k, n, _ = data.shape
-    c_out = params.output_channels(data.shape[2])
+    k, n = batch.num_cells, batch.capacity
+    c_out = params.output_channels(batch.num_channels)
     if k == 0:
         return np.zeros((0, c_out)), None
     if (counts < 1).any() or (counts > n).any():
@@ -455,9 +440,7 @@ def descriptor_forward(
             raise ValidationError("weighted aggregation requires AggregationWeights")
         _check_agg_shapes(weights, n, c_out)
 
-    embedded, layer_inputs, layer_preacts = _embed(
-        params, _occupied_rows(data, counts), need_cache=need_cache
-    )
+    embedded, layer_inputs, layer_preacts = _embed(params, batch.rows, need_cache=need_cache)
     embedded = embedded + 0.0  # turns -0.0 into +0.0 so ties are bit-identical
 
     # the backward routes sorted-row gradients to their slots only to feed MLP

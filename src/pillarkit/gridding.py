@@ -95,9 +95,6 @@ class GridSpec(Document):
         cy = self.range_min[1] + (iy + 0.5) * self.cell_size[1]
         return np.stack([cx, cy], axis=1)
 
-    def decorated_channels(self, c_raw: int) -> int:
-        return c_raw + len(DECORATION_CHANNELS) if self.decorate else c_raw
-
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2)
 
@@ -135,33 +132,73 @@ class GridSpec(Document):
         return cls(**base)
 
 
-@dataclass
-class CellBatch:
-    """Fixed-capacity slot buffers for the occupied cells of one cloud.
+def _occupied(counts: np.ndarray, n: int) -> np.ndarray:
+    """(K, N) mask of the occupied slots."""
+    return np.arange(n)[None, :] < counts[:, None]
 
-    ``data`` is (K, capacity, C); slots at index >= ``valid_count[k]`` are
-    exactly zero in every channel. ``cell_coords`` are unique map-order
-    integer coordinates, sorted row-major, and ``spec`` the grid they index;
-    both are None for cells that did not come from a grid.
+
+def _to_slots(rows: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Scatter cell-major occupied rows (P, C) into zero-padded (K, N, C) slots."""
+    out = np.zeros((counts.shape[0], n, rows.shape[1]))
+    out[_occupied(counts, n)] = rows
+    return out
+
+
+class CellBatch:
+    """The occupied cells of one cloud, their points stored grouped by cell.
+
+    ``rows`` (P, C) holds the kept points cell by cell, each cell's in slot
+    order, and ``valid_count`` (K,) how many rows each cell owns, at most
+    ``capacity``. ``cell_coords`` are unique map-order integer coordinates,
+    sorted row-major, and ``spec`` the grid they index; both are None for
+    cells that did not come from a grid.
+
+    ``build_cell_batch`` forms the rows directly and wraps them with
+    :meth:`from_rows`. The constructor takes the dense slot layout instead,
+    (K, capacity, C) ``data`` whose slots at index >= ``valid_count[k]`` are
+    ignored, and gathers its occupied rows (a reshape when every cell is
+    full). ``data`` reads the dense layout back: a read-only array, built on
+    each access, with every padding slot exactly zero.
     """
 
-    data: np.ndarray
-    valid_count: np.ndarray
-    cell_coords: np.ndarray | None = None
-    spec: GridSpec | None = None
-    channel_names: tuple[str, ...] = ()
+    def __init__(self, data, valid_count, cell_coords=None, spec=None, channel_names=()):
+        data = np.asarray(data, dtype=np.float64)
+        valid_count = np.asarray(valid_count, dtype=np.int64)
+        k, n, c = data.shape
+        rows = data.reshape(k * n, c)
+        if not (valid_count == n).all():
+            rows = np.take(rows, np.flatnonzero(_occupied(valid_count, n)), axis=0)
+        self._assign(rows, valid_count, n, cell_coords, spec, channel_names)
+
+    @classmethod
+    def from_rows(cls, rows, valid_count, capacity, cell_coords=None, spec=None, channel_names=()):
+        """A batch of cell-major occupied rows (P, C), ``valid_count`` rows per cell."""
+        batch = cls.__new__(cls)
+        batch._assign(rows, valid_count, capacity, cell_coords, spec, channel_names)
+        return batch
+
+    def _assign(self, rows, valid_count, capacity, cell_coords, spec, channel_names) -> None:
+        self.rows: np.ndarray = rows
+        self.valid_count: np.ndarray = valid_count
+        self.capacity: int = capacity
+        self.cell_coords: np.ndarray | None = cell_coords
+        self.spec: GridSpec | None = spec
+        self.channel_names: tuple[str, ...] = channel_names
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense (K, capacity, C) slots, padding zero; built on each access."""
+        out = _to_slots(self.rows, self.valid_count, self.capacity)
+        out.flags.writeable = False
+        return out
 
     @property
     def num_cells(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def capacity(self) -> int:
-        return self.data.shape[1]
+        return self.valid_count.shape[0]
 
     @property
     def num_channels(self) -> int:
-        return self.data.shape[2]
+        return self.rows.shape[1]
 
 
 def cell_batch_from_arrays(
@@ -170,9 +207,10 @@ def cell_batch_from_arrays(
     """Wrap a raw (K, N, C) slot array as a CellBatch with no grid.
 
     Convenience for feeding descriptors with cells that did not come from a
-    grid (toy tasks, benchmarks). Slots past ``valid_count`` are zeroed.
+    grid (toy tasks, benchmarks). Slots past ``valid_count`` are ignored; full
+    cells become rows by a reshape.
     """
-    data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    data = np.asarray(data, dtype=np.float64)
     if data.ndim != 3:
         raise ValidationError(f"cell data must be (K, N, C), got shape {data.shape}")
     k, n, _ = data.shape
@@ -182,8 +220,6 @@ def cell_batch_from_arrays(
         valid_count = np.asarray(valid_count, dtype=np.int64)
         if valid_count.shape != (k,) or (valid_count < 1).any() or (valid_count > n).any():
             raise ValidationError("valid_count must be (K,) with entries in [1, N]")
-        slot = np.arange(n)
-        data = np.where(slot[None, :, None] < valid_count[:, None, None], data, 0.0)
     return CellBatch(data, valid_count)
 
 
@@ -230,70 +266,45 @@ def build_cell_batch(cloud: PointCloud, spec: GridSpec) -> CellBatch:
     """
     n = spec.capacity
     dims = spec.grid_shape
-    c_raw = cloud.num_channels
-    c_dec = spec.decorated_channels(c_raw)
 
     point_idx, coords = assign_cells(cloud, spec)
-    if point_idx.size == 0:
-        return CellBatch(
-            data=np.zeros((0, n, c_dec)),
-            valid_count=np.zeros(0, dtype=np.int64),
-            cell_coords=np.empty((0, len(dims)), dtype=np.int64),
-            spec=spec,
-            channel_names=_decorated_names(cloud.channel_names, spec),
-        )
-
     flat = np.ravel_multi_index(tuple(coords.T), dims)
     order = np.argsort(flat, kind="stable")  # grouped by cell, cloud order within
     flat_sorted = flat[order]
     points_sorted = point_idx[order]
-    uniq, start, counts = np.unique(flat_sorted, return_index=True, return_counts=True)
+    start = np.flatnonzero(np.diff(flat_sorted, prepend=-1))
+    counts = np.diff(start, append=flat_sorted.size)
+    uniq = flat_sorted[start]
 
     if uniq.size > spec.max_cells:
         rank = np.lexsort((uniq, -counts))[: spec.max_cells]
         rank = np.sort(rank)  # back to row-major order
         uniq, start, counts = uniq[rank], start[rank], counts[rank]
 
-    k = uniq.size
     kept = np.minimum(counts, n)
-    slot_rows = np.zeros((k, n), dtype=np.int64)
-    if spec.overflow == "keep-first" or not (counts > n).any():
-        offsets = start[:, None] + np.arange(n)[None, :]
-        offsets = np.minimum(offsets, (start + counts - 1)[:, None])
-        slot_rows = points_sorted[offsets]
-    else:
-        for i in range(k):
-            grp = points_sorted[start[i] : start[i] + counts[i]]
-            if counts[i] > n:
-                rng = np.random.default_rng([spec.overflow_seed, int(uniq[i])])
-                grp = np.sort(rng.choice(grp, size=n, replace=False))
-            slot_rows[i, : kept[i]] = grp[: kept[i]]
-            slot_rows[i, kept[i] :] = grp[0]  # placeholder, masked below
-
-    data = np.zeros((k, n, c_dec))
-    slot_valid = np.arange(n)[None, :] < kept[:, None]
-    raw = cloud.points[slot_rows]  # (k, n, c_raw), garbage in masked slots
-    data[:, :, :c_raw] = np.where(slot_valid[:, :, None], raw, 0.0)
+    first = np.cumsum(kept) - kept  # each cell's first row
+    picked = points_sorted[np.arange(kept.sum()) + np.repeat(start - first, kept)]
+    if spec.overflow == "seeded-subsample":
+        for i in np.flatnonzero(counts > n):
+            rng = np.random.default_rng([spec.overflow_seed, int(uniq[i])])
+            group = points_sorted[start[i] : start[i] + counts[i]]
+            picked[first[i] : first[i] + n] = np.sort(rng.choice(group, size=n, replace=False))
+    rows = cloud.points[picked]
 
     cell_coords = np.stack(np.unravel_index(uniq, dims), axis=1).astype(np.int64)
 
     if spec.decorate:
-        xyz = data[:, :, :3]
-        centroid = xyz.sum(axis=1) / kept[:, None]  # masked slots are zero
-        data[:, :, c_raw : c_raw + 3] = np.where(
-            slot_valid[:, :, None], xyz - centroid[:, None, :], 0.0
-        )
+        cell = np.repeat(np.arange(uniq.size), kept)
+        xyz = rows[:, :3]
+        # bincount folds each cell's points in slot order starting from +0.0,
+        # rounding exactly as a sum over the cell's zero-padded slots does
+        sums = [np.bincount(cell, xyz[:, axis], minlength=uniq.size) for axis in range(3)]
+        centroid = np.stack(sums, axis=1) / kept[:, None]
         centers = spec.cell_centers_xy(cell_coords)
-        data[:, :, c_raw + 3 : c_raw + 5] = np.where(
-            slot_valid[:, :, None], data[:, :, :2] - centers[:, None, :], 0.0
-        )
+        rows = np.concatenate([rows, xyz - centroid[cell], rows[:, :2] - centers[cell]], axis=1)
 
-    return CellBatch(
-        data=data,
-        valid_count=kept.astype(np.int64),
-        cell_coords=cell_coords,
-        spec=spec,
-        channel_names=_decorated_names(cloud.channel_names, spec),
+    return CellBatch.from_rows(
+        rows, kept, n, cell_coords, spec, _decorated_names(cloud.channel_names, spec)
     )
 
 

@@ -58,21 +58,74 @@ def scan_file(tmp_path):
     return path
 
 
-def test_featurize_empty_cloud(tmp_path, small_grid_config):
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.empty((0, 4)),  # an empty .bin
+        np.array([[20.0, 4.0, 0.0, 0.5], [4.0, -3.0, 0.0, 0.5], [4.0, 4.0, 5.0, 0.5]]),
+        np.array([[8.0, 4.0, 0.0, 0.5]]),  # exactly at range_max, which is excluded
+    ],
+    ids=["empty", "all-out-of-range", "at-range-max"],
+)
+def test_featurize_empty_cloud(tmp_path, small_grid_config, points, capsys):
+    cloud_path = tmp_path / "cloud.bin"
+    write_kitti_bin(PointCloud(points), cloud_path)
     out = tmp_path / "out"
     code = main(
-        ["featurize", "--input", str(empty), "--config", str(small_grid_config),
+        ["featurize", "--input", str(cloud_path), "--config", str(small_grid_config),
          "--out", str(out)]
     )
     assert code == 0
+    assert "kept none" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["num_points"] == len(points)
     assert summary["num_cells"] == 0
+    assert summary["points_kept"] == 0
+    assert summary["fill_histogram"] == [0] * 8
     blob = np.frombuffer((out / "featuremap.bin").read_bytes(), dtype=np.float64)
     assert not blob.any()
     header = json.loads((out / "featuremap.json").read_text())
     assert header["shape"] == [8, 8, 16]
+
+
+def test_featurize_summary_counts_kept_points(tmp_path, small_grid_config, scan_file, capsys):
+    config = json.loads(small_grid_config.read_text())
+    config["grid"]["capacity"] = 1
+    path = tmp_path / "capacity-1.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["featurize", "--input", str(scan_file), "--config", str(path), "--out", str(out)])
+    assert code == 0
+    assert "warning" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    # 300 points over 64 cells: every occupied cell is full at one point
+    assert summary["num_cells"] > 50
+    assert summary["fill_histogram"] == [summary["num_cells"]]
+    assert summary["points_kept"] == summary["num_cells"]
+
+
+def test_featurize_truncated_bin_is_io_error(tmp_path, small_grid_config, scan_file):
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(scan_file.read_bytes()[:-5])
+    code = main(
+        ["featurize", "--input", str(truncated), "--config", str(small_grid_config),
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 3
+
+
+def test_featurize_and_train_toy_never_build_dense_slots(tmp_path, small_grid_config, scan_file,
+                                                        monkeypatch):
+    def dense_read(batch):
+        raise AssertionError("the dense (K, N, C) slot buffer was built")
+
+    monkeypatch.setattr(gridding.CellBatch, "data", property(dense_read))
+    code = main(["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
+                 "--out", str(tmp_path / "featurize")])
+    assert code == 0
+    code = main(["train-toy", "--config", str(small_grid_config),
+                 "--out", str(tmp_path / "train")])
+    assert code == 0
 
 
 def test_featurize_deterministic_output_files(tmp_path, small_grid_config, scan_file):

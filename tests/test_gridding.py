@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarkit import (
+    CellBatch,
     FeatureMap,
     FileFormatError,
     GridSpec,
@@ -307,3 +310,99 @@ def test_cell_batch_from_arrays_masks_and_validates():
         cell_batch_from_arrays(data, np.array([0, 3]))  # below 1
     with pytest.raises(ValidationError):
         cell_batch_from_arrays(np.ones((2, 3)))  # not 3-D
+
+
+def _dense_reference_batch(cloud, spec):
+    """The zero-padded slot builder: (data, valid_count, cell_coords).
+
+    It fills (K, capacity, C) slot buffers, masks the unused slots to zero
+    and takes each centroid as a sum over all of a cell's slots, padding
+    included. ``build_cell_batch`` must match it bitwise.
+    """
+    n = spec.capacity
+    dims = spec.grid_shape
+    c_raw = cloud.num_channels
+    c_dec = c_raw + 5 if spec.decorate else c_raw
+    point_idx, coords = assign_cells(cloud, spec)
+    if point_idx.size == 0:
+        return np.zeros((0, n, c_dec)), np.zeros(0, np.int64), np.empty((0, len(dims)), np.int64)
+    flat = np.ravel_multi_index(tuple(coords.T), dims)
+    order = np.argsort(flat, kind="stable")
+    flat_sorted = flat[order]
+    points_sorted = point_idx[order]
+    uniq, start, counts = np.unique(flat_sorted, return_index=True, return_counts=True)
+    if uniq.size > spec.max_cells:
+        rank = np.sort(np.lexsort((uniq, -counts))[: spec.max_cells])
+        uniq, start, counts = uniq[rank], start[rank], counts[rank]
+    k = uniq.size
+    kept = np.minimum(counts, n)
+    slot_rows = np.zeros((k, n), dtype=np.int64)
+    for i in range(k):
+        grp = points_sorted[start[i] : start[i] + counts[i]]
+        if counts[i] > n and spec.overflow == "seeded-subsample":
+            rng = np.random.default_rng([spec.overflow_seed, int(uniq[i])])
+            grp = np.sort(rng.choice(grp, size=n, replace=False))
+        slot_rows[i, : kept[i]] = grp[: kept[i]]
+    data = np.zeros((k, n, c_dec))
+    slot_valid = (np.arange(n)[None, :] < kept[:, None])[:, :, None]
+    data[:, :, :c_raw] = np.where(slot_valid, cloud.points[slot_rows], 0.0)
+    cell_coords = np.stack(np.unravel_index(uniq, dims), axis=1).astype(np.int64)
+    if spec.decorate:
+        xyz = data[:, :, :3]
+        centroid = xyz.sum(axis=1) / kept[:, None]  # padding slots add zeros
+        data[:, :, c_raw : c_raw + 3] = np.where(slot_valid, xyz - centroid[:, None, :], 0.0)
+        centers = spec.cell_centers_xy(cell_coords)
+        data[:, :, c_raw + 3 :] = np.where(slot_valid, data[:, :, :2] - centers[:, None, :], 0.0)
+    return data, kept, cell_coords
+
+
+# signed zeros sit on a cell boundary, where a padded centroid sum and a
+# per-cell sum can disagree on the sign of a zero
+_COORD = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 1e-300]),
+    st.floats(-2.5, 2.5, allow_nan=False, width=32),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_build_cell_batch_matches_dense_reference(data):
+    base = data.draw(st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=12))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), max_size=60))  # duplicates
+    cloud = PointCloud(np.array([base[i] for i in picks]).reshape(-1, 4))
+    spec = GridSpec(
+        mode=data.draw(st.sampled_from(["pillar", "voxel"])),
+        range_min=(-2.0, -2.0, -2.0),
+        range_max=(2.0, 2.0, 2.0),
+        cell_size=(1.0, 1.0, 2.0),
+        capacity=data.draw(st.sampled_from([1, 2, 3, 9])),
+        max_cells=data.draw(st.integers(1, 20)),
+        overflow=data.draw(st.sampled_from(["keep-first", "seeded-subsample"])),
+        overflow_seed=data.draw(st.integers(0, 3)),
+        decorate=data.draw(st.booleans()),
+    )
+    dense, valid_count, cell_coords = _dense_reference_batch(cloud, spec)
+    batch = build_cell_batch(cloud, spec)
+    occupied = np.arange(spec.capacity)[None, :] < valid_count[:, None]
+    assert batch.rows.tobytes() == dense[occupied].tobytes()
+    assert batch.data.tobytes() == dense.tobytes()
+    assert batch.valid_count.tolist() == valid_count.tolist()
+    assert batch.cell_coords.tobytes() == cell_coords.tobytes()
+    assert batch.capacity == spec.capacity
+    assert batch.num_channels == dense.shape[2]
+
+
+def test_dense_constructor_gathers_rows_and_ignores_padding():
+    spec = small_pillar_spec(capacity=4, decorate=True)
+    rng = np.random.default_rng(3)
+    xyz = rng.uniform([0, 0, -1], [3, 3, 1], size=(40, 3))
+    batch = build_cell_batch(cloud_from_xyz(xyz), spec)
+    assert (batch.valid_count < 4).any() and (batch.valid_count == 4).any()
+    assert CellBatch(batch.data, batch.valid_count).rows.tobytes() == batch.rows.tobytes()
+
+    noisy = batch.data.copy()
+    noisy[np.arange(4)[None, :] >= batch.valid_count[:, None]] = 7.0
+    dense = CellBatch(noisy, batch.valid_count, batch.cell_coords, spec, batch.channel_names)
+    assert dense.rows.tobytes() == batch.rows.tobytes()
+    assert dense.data.tobytes() == batch.data.tobytes()  # padding reads back as zero
+    assert not dense.data.flags.writeable
