@@ -13,7 +13,6 @@ sequential fold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -196,19 +195,6 @@ class GradCheckReport:
     tolerance: float
     passed: bool
     checked: dict[str, int] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-                "groups": {
-                    name: {"max_rel_error": err, "scalars_checked": self.checked.get(name, 0)}
-                    for name, err in self.groups.items()
-                },
-            },
-            indent=2,
-        )
 
 
 def squared_error_loss(target: np.ndarray):

@@ -9,7 +9,6 @@ dominates, which is the regime the overhead comparison is about.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -163,7 +162,3 @@ def _bench_inner(config: BenchConfig) -> dict:
     ratios = [entry["ratio"] for entry in scaling]
     report["aggregation_ratio_monotone"] = all(a < b for a, b in zip(ratios, ratios[1:]))
     return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)

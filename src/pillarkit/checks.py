@@ -8,7 +8,6 @@ the acceptance tests both drive these functions; only the case counts differ.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,13 +226,3 @@ def run_property_suites(
         run_max_special_case_suite(num_cells=num_cells, seed=seed + 2),
         run_mean_consistency_suite(num_cells=num_cells, seed=seed + 3),
     ]
-
-
-def suites_to_json(results: list[SuiteResult]) -> str:
-    return json.dumps(
-        {
-            "passed": all(r.passed for r in results),
-            "suites": [r.to_doc() for r in results],
-        },
-        indent=2,
-    )

@@ -28,7 +28,7 @@ from .descriptor import (
 )
 from .documents import Seed, typed
 from .errors import DivergenceError, FileFormatError, PillarkitError, ValidationError
-from .gridding import CellBatch, GridSpec, build_cell_batch, scatter_to_grid
+from .gridding import CellBatch, GridSpec, build_cell_batch, require_memory, scatter_to_grid
 from .pointcloud import load_kitti_bin
 from .toy import (
     ToyTaskSpec,
@@ -99,8 +99,23 @@ def _descriptor_setup(
             if widths
             else MlpParams([])
         )
-        weights = AggregationWeights.max_pool_init(batch.capacity) if kind == "weighted" else None
+        weights = None
+        if kind == "weighted":
+            what = f"a ({batch.capacity},) aggregation weight vector"
+            require_memory(8 * batch.capacity, what, "lower the capacity")
+            weights = AggregationWeights.max_pool_init(batch.capacity)
     return params, weights, kind
+
+
+def _write_report(out: str | None, name: str, doc: dict) -> None:
+    """Write ``doc`` as indented JSON to ``<out>/<name>``, or to stdout without ``--out``."""
+    text = json.dumps(doc, indent=2)
+    if out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text)
+    else:
+        print(text)
 
 
 def cmd_featurize(args) -> int:
@@ -129,8 +144,8 @@ def cmd_featurize(args) -> int:
         "num_points": cloud.num_points,
         "points_kept": points_kept,
         "num_cells": batch.num_cells,
-        # cells holding 1, 2, ..., capacity points
-        "fill_histogram": np.bincount(batch.valid_count, minlength=spec.capacity + 1)[1:].tolist(),
+        # cells holding 1, 2, ... points, up to the fullest cell
+        "fill_histogram": np.bincount(batch.valid_count)[1:].tolist(),
         "occupancy": batch.num_cells / total_cells,
         "feature_channels": fmap.num_channels,
         "elapsed_s": time.perf_counter() - t0,
@@ -155,15 +170,12 @@ def cmd_train_toy(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    model = state = None
     if args.resume:
         model, state, train_config, task_spec = load_checkpoint(args.resume)
         # the checkpoint owns the run configuration; the train section may
         # still extend it (typically a larger step budget)
         train_config = TrainConfig.from_doc({**train_config.to_doc(), **_section(config, "train")})
-        dataset = build_toy_dataset(task_spec)
-        metrics, model, state = train_descriptor(
-            dataset, train_config, resume_from=model, resume_state=state
-        )
     else:
         task_doc = dict(_section(config, "toy"))
         train_doc = dict(_section(config, "train"))
@@ -177,8 +189,10 @@ def cmd_train_toy(args) -> int:
             train_doc["kind"] = args.descriptor
         task_spec = ToyTaskSpec.from_doc(task_doc)
         train_config = TrainConfig.from_doc(train_doc)
-        dataset = build_toy_dataset(task_spec)
-        metrics, model, state = train_descriptor(dataset, train_config)
+    dataset = build_toy_dataset(task_spec)
+    metrics, model, state = train_descriptor(
+        dataset, train_config, resume_from=model, resume_state=state
+    )
 
     with open(out_dir / "metrics.jsonl", "w") as handle:
         for record in metrics.records:
@@ -220,12 +234,7 @@ def cmd_check_grad(args) -> int:
     }
     print(f"check-grad: {num_configs} configs, worst rel error {worst:.3e}, "
           f"{'PASS' if passed else 'FAIL'}")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "gradcheck.json").write_text(json.dumps(doc, indent=2))
-    else:
-        print(json.dumps(doc, indent=2))
+    _write_report(args.out, "gradcheck.json", doc)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -251,19 +260,16 @@ def cmd_prop_test(args) -> int:
     results.append(
         checks_mod.SuiteResult("gradient-check", cases=len(grad_reports), failures=grad_failures)
     )
-    doc = json.loads(checks_mod.suites_to_json(results))
+    passed = all(result.passed for result in results)
     for result in results:
         print(
             f"prop-test: {result.name}: {result.cases - result.failures}/{result.cases} "
             f"{'PASS' if result.passed else 'FAIL'}"
         )
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "propcheck.json").write_text(json.dumps(doc, indent=2))
-    else:
-        print(json.dumps(doc, indent=2))
-    return EXIT_OK if doc["passed"] else EXIT_CHECK_FAILED
+    _write_report(
+        args.out, "propcheck.json", {"passed": passed, "suites": [r.to_doc() for r in results]}
+    )
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_bench(args) -> int:
@@ -280,12 +286,7 @@ def cmd_bench(args) -> int:
         + f", aggregation ratios "
         + ", ".join(f"N={e['n_points']}:{e['ratio']:.2f}" for e in report["aggregation_scaling"])
     )
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "bench.json").write_text(bench_mod.report_to_json(report))
-    else:
-        print(bench_mod.report_to_json(report))
+    _write_report(args.out, "bench.json", report)
     return EXIT_OK
 
 

@@ -95,6 +95,8 @@ class MlpParams:
         seed: int = 0,
     ) -> "MlpParams":
         """He-initialized MLP with the given hidden/output widths."""
+        if any(width < 1 for width in widths):
+            raise ValidationError(f"mlp widths must be >= 1, got {tuple(widths)}")
         rng = np.random.default_rng(seed)
         layers = []
         prev = c_in

