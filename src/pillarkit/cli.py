@@ -125,14 +125,24 @@ def cmd_featurize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    stage_s: dict[str, float] = {}
+
+    def timed(stage: str, fn, *fn_args, **fn_kwargs):
+        start = time.perf_counter()
+        result = fn(*fn_args, **fn_kwargs)
+        stage_s[stage] = time.perf_counter() - start
+        return result
+
     t0 = time.perf_counter()
-    cloud = load_kitti_bin(args.input)
-    batch = build_cell_batch(cloud, spec)
+    cloud = timed("load", load_kitti_bin, args.input)
+    batch = timed("batch", build_cell_batch, cloud, spec)
     params, weights, kind = _descriptor_setup(config, args, batch, seed)
 
-    features, _ = descriptor_forward(params, weights, batch, kind, need_cache=False)
-    fmap = scatter_to_grid(features, batch.cell_coords, spec)
-    blob, header = fmap.save(out_dir / "featuremap")
+    features, _ = timed(
+        "forward", descriptor_forward, params, weights, batch, kind, need_cache=False
+    )
+    fmap = timed("scatter", scatter_to_grid, features, batch.cell_coords, spec)
+    blob, header = timed("save", fmap.save, out_dir / "featuremap")
 
     total_cells = int(np.prod(spec.grid_shape))
     points_kept = int(batch.valid_count.sum())
@@ -143,11 +153,13 @@ def cmd_featurize(args) -> int:
         "seed": seed,
         "num_points": cloud.num_points,
         "points_kept": points_kept,
+        **batch.dropped,
         "num_cells": batch.num_cells,
         # cells holding 1, 2, ... points, up to the fullest cell
         "fill_histogram": np.bincount(batch.valid_count)[1:].tolist(),
         "occupancy": batch.num_cells / total_cells,
         "feature_channels": fmap.num_channels,
+        "stage_s": stage_s,
         "elapsed_s": time.perf_counter() - t0,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
@@ -159,7 +171,7 @@ def cmd_featurize(args) -> int:
         )
     print(
         f"featurize: {cloud.num_points} points -> {batch.num_cells} cells "
-        f"({spec.mode}, {kind}), map {fmap.values.shape} -> {blob}"
+        f"({spec.mode}, {kind}), map {fmap.shape} -> {blob}"
     )
     return EXIT_OK
 

@@ -133,6 +133,8 @@ class SyntheticCloudSpec(Document):
             raise ValidationError("extent box must have strictly positive edge lengths")
         if self.count < 1:
             raise ValidationError("point count must be >= 1")
+        if not 0.0 <= self.edge_band <= 1.0:  # NaN fails too
+            raise ValidationError(f"edge_band must be in [0, 1], got {self.edge_band}")
         if self.kind == "gaussian-clusters":
             if self.clusters < 1:
                 raise ValidationError("clusters must be >= 1")

@@ -64,6 +64,8 @@ class ToyTaskSpec(Document):
             raise ValidationError("val_fraction must be in (0, 1)")
         if not 0.0 <= self.quantile <= 1.0:
             raise ValidationError("quantile must be in [0, 1]")
+        if not 0.0 <= self.edge_band <= 1.0:  # NaN fails too
+            raise ValidationError(f"edge_band must be in [0, 1], got {self.edge_band}")
 
 
 @dataclass

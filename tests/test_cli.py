@@ -58,6 +58,15 @@ def scan_file(tmp_path):
     return path
 
 
+DROP_KEYS = ("points_out_of_range", "points_over_capacity", "points_in_dropped_cells")
+
+
+def assert_drops_add_up(summary):
+    """Every input point is either kept or counted under exactly one drop reason."""
+    assert all(summary[key] >= 0 for key in DROP_KEYS)
+    assert summary["points_kept"] + sum(summary[key] for key in DROP_KEYS) == summary["num_points"]
+
+
 @pytest.mark.parametrize(
     "points",
     [
@@ -81,6 +90,8 @@ def test_featurize_empty_cloud(tmp_path, small_grid_config, points, capsys):
     assert summary["num_points"] == len(points)
     assert summary["num_cells"] == 0
     assert summary["points_kept"] == 0
+    assert summary["points_out_of_range"] == len(points)
+    assert_drops_add_up(summary)
     assert summary["fill_histogram"] == []
     blob = np.frombuffer((out / "featuremap.bin").read_bytes(), dtype=np.float64)
     assert not blob.any()
@@ -102,6 +113,37 @@ def test_featurize_summary_counts_kept_points(tmp_path, small_grid_config, scan_
     assert summary["num_cells"] > 50
     assert summary["fill_histogram"] == [summary["num_cells"]]
     assert summary["points_kept"] == summary["num_cells"]
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [({"capacity": 300}, None), ({"capacity": 1}, "points_over_capacity"),
+     ({"capacity": 300, "max_cells": 1}, "points_in_dropped_cells")],
+    ids=["capacity-300", "capacity-1", "max-cells-1"],
+)
+def test_featurize_summary_accounts_for_every_point(
+    tmp_path, small_grid_config, scan_file, grid, reason
+):
+    config = json.loads(small_grid_config.read_text())
+    config["grid"].update(grid)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    outside = np.array([[20.0, 4.0, 0.0, 0.5], [4.0, -3.0, 0.0, 0.5], [4.0, 4.0, 5.0, 0.5]])
+    cloud = PointCloud(np.vstack([load_kitti_bin(scan_file).points, outside]))
+    cloud_path = tmp_path / "cloud.bin"
+    write_kitti_bin(cloud, cloud_path)
+    out = tmp_path / "out"
+    assert main(["featurize", "--input", str(cloud_path), "--config", str(path),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["points_out_of_range"] == len(outside)
+    for key in DROP_KEYS[1:]:
+        assert (summary[key] > 0) == (key == reason)
+    assert_drops_add_up(summary)
+    stages = summary["stage_s"]
+    assert set(stages) == {"load", "batch", "forward", "scatter", "save"}
+    assert all(seconds >= 0 for seconds in stages.values())
+    assert sum(stages.values()) <= summary["elapsed_s"]
 
 
 def test_featurize_fill_histogram_ends_at_the_fullest_cell(
@@ -137,7 +179,11 @@ def test_featurize_and_train_toy_never_build_dense_slots(tmp_path, small_grid_co
     def dense_read(batch):
         raise AssertionError("the dense (K, N, C) slot buffer was built")
 
+    def dense_map_read(fmap):
+        raise AssertionError("the dense feature grid was built")
+
     monkeypatch.setattr(gridding.CellBatch, "data", property(dense_read))
+    monkeypatch.setattr(gridding.FeatureMap, "values", property(dense_map_read))
     code = main(["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
                  "--out", str(tmp_path / "featurize")])
     assert code == 0
@@ -235,6 +281,9 @@ def test_bad_config_is_config_error(tmp_path, scan_file):
         ("featurize", "descriptor.mlp_widths", [0], 2),
         ("train-toy", "train.mlp_widths", [0], 2),
         ("train-toy", "toy.cells_per_class", 1, 2),  # its one pair goes to validation
+        ("train-toy", "toy.edge_band", 2.0, 2),  # label-1 interior would leave the box
+        ("train-toy", "toy.edge_band", -0.1, 2),
+        ("train-toy", "toy.edge_band", float("nan"), 2),
         ("train-toy", "toy.n_points", 8.0, 0),  # an integral float is an integer
     ],
 )

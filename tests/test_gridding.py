@@ -390,6 +390,7 @@ def test_build_cell_batch_matches_dense_reference(data):
     assert batch.cell_coords.tobytes() == cell_coords.tobytes()
     assert batch.capacity == spec.capacity
     assert batch.num_channels == dense.shape[2]
+    assert valid_count.sum() + sum(batch.dropped.values()) == cloud.num_points
 
 
 def test_dense_constructor_gathers_rows_and_ignores_padding():
@@ -406,3 +407,95 @@ def test_dense_constructor_gathers_rows_and_ignores_padding():
     assert dense.rows.tobytes() == batch.rows.tobytes()
     assert dense.data.tobytes() == batch.data.tobytes()  # padding reads back as zero
     assert not dense.data.flags.writeable
+
+
+def _dense_reference_map(features, coords, shape):
+    """The dense writer's grid: zeros, then each cell's row assigned in place.
+
+    ``FeatureMap.save`` must write exactly ``grid.tofile`` of it.
+    """
+    grid = np.zeros(shape)
+    grid[tuple(coords.T)] = features
+    return grid
+
+
+# zero and -0.0 rows must be written as stored, not skipped as empty cells
+_ROW_KINDS = st.sampled_from(["random", "zero", "negative-zero"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_feature_map_save_matches_dense_writer(data, tmp_path_factory):
+    mode = data.draw(st.sampled_from(["pillar", "voxel"]))
+    dims = data.draw(st.lists(st.integers(1, 7), min_size=3, max_size=3))  # nx, ny, nz
+    spec = GridSpec(
+        mode=mode,
+        range_min=(0.0, 0.0, 0.0),
+        range_max=tuple(float(d) for d in dims),
+        cell_size=(1.0, 1.0, 1.0),
+        capacity=1,
+    )
+    grid = spec.grid_shape
+    channels = data.draw(st.integers(1, 4))
+    total = int(np.prod(grid))
+    flat = data.draw(st.lists(st.integers(0, total - 1), unique=True, max_size=total))
+    coords = np.stack(np.unravel_index(np.array(flat, dtype=np.int64), grid), axis=1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((len(flat), channels))
+    for row, kind in enumerate(data.draw(st.lists(_ROW_KINDS, min_size=len(flat),
+                                                  max_size=len(flat)))):
+        if kind != "random":
+            features[row] = -0.0 if kind == "negative-zero" else 0.0
+    # one cell of 8 bytes per write up to the default 1 MiB, which holds every grid here
+    buffer_bytes = data.draw(st.sampled_from([8, 24, 8 * channels * 5, gridding.SAVE_BUFFER_BYTES]))
+
+    reference = _dense_reference_map(features, coords, grid + (channels,))
+    out = tmp_path_factory.mktemp("map")
+    reference.tofile(out / "reference.bin")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gridding, "SAVE_BUFFER_BYTES", buffer_bytes)
+        fmap = scatter_to_grid(features, coords, spec)
+        blob, header = fmap.save(out / "map")
+    assert blob.read_bytes() == (out / "reference.bin").read_bytes()
+    assert json.loads(header.read_text())["shape"] == list(reference.shape)
+    assert fmap.shape == reference.shape
+    assert fmap.values.tobytes() == reference.tobytes()
+    probe = np.stack(np.unravel_index(np.arange(total), grid), axis=1)  # stored and empty cells
+    assert fmap.gather(probe).tobytes() == reference.reshape(total, channels).tobytes()
+    assert fmap.gather(coords).tobytes() == features.tobytes()
+
+
+def test_feature_map_save_of_a_grid_larger_than_the_write_buffer(tmp_path):
+    spec = small_pillar_spec(range_max=(60.0, 50.0, 1.0))
+    rng = np.random.default_rng(8)
+    flat = rng.choice(50 * 60, size=300, replace=False)  # random order
+    coords = np.stack(np.unravel_index(flat, (50, 60)), axis=1)
+    features = rng.standard_normal((300, 64))
+    features[:3] = [[0.0], [-0.0], [0.0]]
+    reference = _dense_reference_map(features, coords, (50, 60, 64))
+    assert reference.nbytes > gridding.SAVE_BUFFER_BYTES
+    blob, _ = scatter_to_grid(features, coords, spec).save(tmp_path / "map")
+    assert blob.read_bytes() == reference.tobytes()
+
+
+def test_feature_map_dense_constructor_keeps_zero_cells_bitwise(tmp_path):
+    values = np.zeros((3, 4, 2))
+    values[1, 2] = -0.0
+    values[2, 3] = [1.5, -0.0]
+    fmap = FeatureMap(values)
+    assert fmap.cells.size == 12  # no cell is dropped for being zero
+    FeatureMap(np.ones((5, 4, 2))).save(tmp_path / "map")  # a longer blob to overwrite
+    fmap.save(tmp_path / "map")
+    back = FeatureMap.load(tmp_path / "map")
+    assert back.values.tobytes() == values.tobytes()
+    assert not back.values.flags.writeable
+
+
+def test_feature_map_save_that_fails_leaves_no_header(tmp_path):
+    FeatureMap(np.ones((2, 3, 4))).save(tmp_path / "map")
+    (tmp_path / "map.bin").unlink()
+    (tmp_path / "map.bin").mkdir()  # the blob cannot be written
+    with pytest.raises(OSError):
+        FeatureMap(np.zeros((2, 3, 4))).save(tmp_path / "map")
+    assert not (tmp_path / "map.json").exists()  # so no stale header vouches for the blob
+

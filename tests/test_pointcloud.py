@@ -176,6 +176,12 @@ def test_spec_validation():
         SyntheticCloudSpec(
             kind="uniform-box", extent_min=(0, 0, 0), extent_max=(1, 1, 1), count=0, seed=0
         )
+    for band in (2.0, -0.1, float("nan")):
+        with pytest.raises(ValidationError, match="edge_band"):
+            SyntheticCloudSpec(
+                kind="equal-extremes-pair", extent_min=(0, 0, 0), extent_max=(1, 1, 1), count=4,
+                seed=0, edge_band=band,
+            )
 
 
 def test_cloud_validation():
