@@ -25,7 +25,7 @@ from .descriptor import (
     MlpParams,
     _array_from_doc,
     _embed,
-    _fill_groups,
+    _fill_major,
     descriptor_forward,
 )
 from .documents import Document
@@ -46,7 +46,7 @@ class Gradients:
 
 
 def _canonical_row_order(embedded: np.ndarray, groups: list[FillGroup]) -> np.ndarray:
-    """Occupied rows, fill group by group, each cell's rows in value order.
+    """Fill-major rows, fill group by group, each cell's rows in value order.
 
     Rows are ranked by their channel sum, a fixed per-row reduction, so equal
     rows get equal keys; only cells where distinct rows tie on that key are
@@ -57,38 +57,34 @@ def _canonical_row_order(embedded: np.ndarray, groups: list[FillGroup]) -> np.nd
     key = embedded.sum(axis=1)
     parts = []
     for group in groups:
-        keys = key[group.rows]
-        rank = np.argsort(keys, axis=1, kind="stable")
-        rows = np.take_along_axis(group.rows, rank, axis=1)
-        keys = np.take_along_axis(keys, rank, axis=1)
+        c = group.count
+        first = np.arange(group.start, group.start + group.cells.size * c, c)[:, None]
+        rows = np.argsort(group.block(key), axis=1, kind="stable") + first
+        keys = key[rows]
         cell, pos = np.nonzero(keys[:, 1:] == keys[:, :-1])
         differ = (embedded[rows[cell, pos]] != embedded[rows[cell, pos + 1]]).any(axis=1)
         for i in np.unique(cell[differ]):
-            cell_rows = group.rows[i]
-            rows[i] = cell_rows[np.lexsort(embedded[cell_rows].T[::-1])]
+            cell_rows = embedded[first[i, 0] : first[i, 0] + c]
+            rows[i] = first[i] + np.lexsort(cell_rows.T[::-1])
         parts.append(rows.ravel())
     return np.concatenate(parts)
 
 
 def _route(cache: ForwardCache, upstream: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Sorted-row gradients routed back to the occupied rows they came from, (P, C)."""
+    """Sorted-row gradients routed back to the fill-major rows they came from, (P, C)."""
     n = cache.capacity
-    c = cache.embedded.shape[1]
-    d_rows = np.empty_like(cache.embedded)
+    # the max kind routes to one row per cell and channel; the rest stay zero
+    d_rows = (np.zeros_like if cache.kind == "max" else np.empty_like)(cache.embedded)
     for group in cache.groups:
         up = upstream[group.cells][:, None, :]
         if cache.kind == "mean":
-            d_rows[group.rows] = up / group.count
-            continue
-        if cache.kind == "max":
-            d_sorted = up
+            group.block(d_rows)[...] = up / group.count
+        elif cache.kind == "max":
+            np.put(d_rows, group.src, up)
         elif w.ndim == 1:
-            d_sorted = up * w[n - group.count :][None, :, None]
+            np.put(d_rows, group.src, up * w[n - group.count :][None, :, None])
         else:
-            d_sorted = up * w[n - group.count :][None]
-        d_block = np.zeros((group.cells.size, group.count, c))
-        np.put_along_axis(d_block, group.perm, d_sorted, axis=1)
-        d_rows[group.rows] = d_block
+            np.put(d_rows, group.src, up * w[n - group.count :][None])
     return d_rows
 
 
@@ -232,11 +228,12 @@ def is_tie_free(
     pins those slots dead, so they stay at zero under the nudge and carry no
     gradient either way.
     """
-    embedded, _, preacts = _embed(params, batch.rows, need_cache=True)
+    groups, rows = _fill_major(batch)
+    embedded, _, preacts = _embed(params, rows, need_cache=True)
     slack = margin * step
     final_relu = bool(params.layers) and params.layers[-1].activation == "relu"
-    for group in _fill_groups(batch.valid_count):
-        vals = np.sort(embedded[group.rows], axis=1)
+    for group in groups:
+        vals = np.sort(group.block(embedded), axis=1)
         tied = np.diff(vals, axis=1) < slack
         if final_relu:
             tied &= ~((vals[:, :-1] == 0.0) & (vals[:, 1:] == 0.0))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .descriptor import AggregationWeights, MlpParams, _sort_perm, descriptor_forward
 from .errors import ValidationError
-from .gridding import _occupied, cell_batch_from_arrays
+from .gridding import cell_batch_from_arrays
 
 
 @dataclass
@@ -132,9 +132,9 @@ def run_sorted_contract_suite(
     for _, data, counts, params, weights in _random_blocks(num_cells, seed, n_choices, c_range):
         _, cache = descriptor_forward(params, weights, cell_batch_from_arrays(data, counts))
         n = data.shape[1]
-        occupied = _occupied(counts, n)
         expected = np.full((data.shape[0], n, cache.embedded.shape[1]), np.inf)
-        expected[occupied] = cache.embedded
+        for group in cache.groups:
+            expected[group.cells, : group.count] = group.block(cache.embedded)
         expected = np.sort(expected, axis=1)  # occupied values ascending, padding last
         row = np.arange(n)[None, :]
         pad = n - counts[:, None]
@@ -143,7 +143,7 @@ def run_sorted_contract_suite(
         expected[row < pad] = 0.0
         ok = np.all(cache.sorted_values.view(np.uint64) == expected.view(np.uint64), axis=(1, 2))
         for group in cache.groups:
-            block = cache.embedded[group.rows]
+            block = group.block(cache.embedded)
             perm = _sort_perm(block, cache.kind)
             slots = np.arange(group.count)[:, None]
             bijective = (np.sort(perm, axis=1) == slots).all(axis=(1, 2))

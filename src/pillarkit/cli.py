@@ -45,6 +45,10 @@ EXIT_IO = 3
 EXIT_CHECK_FAILED = 4
 EXIT_DIVERGED = 5
 
+# featurize warns when the capacity cap and max_cells together drop more than
+# this share of the points inside the grid range
+DROP_WARNING_SHARE = 0.10
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -163,10 +167,19 @@ def cmd_featurize(args) -> int:
         "elapsed_s": time.perf_counter() - t0,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    in_range = cloud.num_points - batch.dropped["points_out_of_range"]
+    capped = batch.dropped["points_over_capacity"] + batch.dropped["points_in_dropped_cells"]
     if points_kept == 0:
         print(
             f"warning: featurize kept none of the {cloud.num_points} points inside the grid "
             f"range; the feature map is all zeros",
+            file=sys.stderr,
+        )
+    elif capped > DROP_WARNING_SHARE * in_range:
+        print(
+            f"warning: capacity and max_cells dropped {capped} of the {in_range} points "
+            f"inside the grid range ({capped / in_range:.1%}, more than "
+            f"{DROP_WARNING_SHARE:.0%}); raise grid.capacity or grid.max_cells to keep them",
             file=sys.stderr,
         )
     print(

@@ -14,13 +14,16 @@ zeros at the LOW row indices, so the last row always carries the per-channel
 maximum of the real points regardless of fill level.
 
 Execution is ragged: the batched descriptor computes only the occupied slots.
-It embeds the occupied rows, then sorts and combines the cells in groups of
-equal fill level c, where the padding rows of the dense sorted matrix would
-only add zero terms; a group of c-point cells uses the last c weight rows.
+It lays the occupied rows out fill-major (cells ordered by fill level, batch
+order kept within a level), so each group of c-point cells is one contiguous
+block of rows, then embeds the rows and sorts and combines each group, where
+the padding rows of the dense sorted matrix would only add zero terms; a
+group of c-point cells uses the last c weight rows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,7 +223,11 @@ def _rows_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 def _embed(
     params: MlpParams, x: np.ndarray, need_cache: bool
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The shared MLP over occupied rows (P, C_in). Returns (out, inputs, preacts)."""
+    """The shared MLP over occupied rows (P, C_in). Returns (out, inputs, preacts).
+
+    The bias and ReLU apply in place; a separate pre-activation array is kept
+    only when ``need_cache``. With no layers ``out`` is ``x`` itself.
+    """
     if params.layers and params.in_dim != x.shape[1]:
         raise ValidationError(
             f"MLP expects {params.in_dim} input channels, cell has {x.shape[1]}"
@@ -228,11 +235,12 @@ def _embed(
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
     for layer in params.layers:
-        z = _rows_matmul(x, layer.weight) + layer.bias
+        z = _rows_matmul(x, layer.weight)
+        z += layer.bias
         if need_cache:
             inputs.append(x)
             preacts.append(z)
-        x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        x = np.maximum(z, 0.0, out=None if need_cache else z) if layer.activation == "relu" else z
     return x, inputs, preacts
 
 
@@ -240,35 +248,103 @@ def _embed(
 class FillGroup:
     """The cells holding exactly ``count`` points, processed as one block.
 
-    ``rows`` (k_c, count) indexes each cell's occupied rows in slot order.
-    ``values`` (k_c, count, C) is the per-channel ascending sort of those
-    rows; the max kind keeps none. ``perm[i, r, ch]`` is the slot that
-    sorted row r of channel ch came from; for the max kind only the last row,
-    the slot of each channel's maximum (the last one when maxima tie, as the
-    stable sort would place it). Only gradient routing reads ``perm``, so the
-    forward sets it only when the backward will route through it.
+    Their rows are the fill-major rows ``start`` on, cell after cell, each in
+    slot order, so :meth:`block` is a (k_c, count, C) view. ``values`` is the
+    per-channel ascending sort of that block; the max kind keeps none.
+    ``src[i, r, ch]`` is the flat index into the fill-major (P, C) embedding
+    of the value that sorted row r of channel ch holds; for the max kind only
+    the last row, each channel's maximum (the last one when maxima tie, as
+    the stable sort would place it). Only gradient routing reads ``src``, so
+    the forward sets it only when the backward will route through it.
     """
 
     count: int
     cells: np.ndarray
-    rows: np.ndarray
+    start: int
     values: np.ndarray | None = None
-    perm: np.ndarray | None = None
+    src: np.ndarray | None = None
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """This group's view of fill-major ``rows``: (k_c, count) plus the trailing axes."""
+        k, c = self.cells.size, self.count
+        return rows[self.start : self.start + k * c].reshape(k, c, *rows.shape[1:])
 
 
-def _fill_groups(counts: np.ndarray) -> list[FillGroup]:
-    """Group cells by fill level, levels ascending, cells in batch order."""
+def _fill_major(batch: CellBatch) -> tuple[list[FillGroup], np.ndarray]:
+    """The batch's fill groups and its occupied rows in fill-major order.
+
+    Levels ascend, and cells keep batch order within a level; a batch of one
+    fill level, as of full cells, is already fill-major and is not gathered.
+    """
+    counts = batch.valid_count
     k = counts.shape[0]
-    if k and (counts == counts[0]).all():  # one fill level, as in full cells
-        c = int(counts[0])
-        return [FillGroup(c, np.arange(k), np.arange(k * c).reshape(k, c))]
+    if k and (counts == counts[0]).all():
+        return [FillGroup(int(counts[0]), np.arange(k), 0)], batch.rows
     by_fill = np.argsort(counts, kind="stable")
-    levels, first = np.unique(counts[by_fill], return_index=True)
-    starts = np.cumsum(counts) - counts
-    return [
-        FillGroup(int(c), cells, starts[cells][:, None] + np.arange(c))
-        for c, cells in zip(levels, np.split(by_fill, first[1:]))
+    filled = counts[by_fill]
+    starts = np.cumsum(filled) - filled  # each cell's first fill-major row
+    levels, first = np.unique(filled, return_index=True)
+    groups = [
+        FillGroup(int(c), cells, int(starts[i]))
+        for c, i, cells in zip(levels, first, np.split(by_fill, first[1:]))
     ]
+    cell_starts = np.cumsum(counts) - counts
+    order = np.repeat(cell_starts[by_fill] - starts, filled) + np.arange(int(filled.sum()))
+    return groups, batch.rows[order]
+
+
+# Fill levels up to this many points sort through a compare-exchange network,
+# larger ones through np.sort; measured on a KITTI-scale scan (see README.md)
+_NETWORK_MAX_FILL = 12
+
+
+@functools.cache
+def _network(n: int) -> tuple[tuple[int, int], ...]:
+    """The comparators of Batcher's odd-even merge sort on ``n`` inputs.
+
+    Built for the next power of two; a comparator that touches a missing
+    input is dropped, as that input, padded with +inf, would never move.
+    """
+    size = 1 << (n - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < n:
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _network_sort(block: np.ndarray) -> np.ndarray:
+    """``np.sort(block, axis=1)`` of a (k, c, C) block by min/max on (k, C) planes.
+
+    Each comparator emits its two inputs, so the values are the same bits as
+    np.sort's wherever no -0.0 or NaN can tie with a different bit pattern.
+    """
+    planes = list(block.transpose(1, 0, 2).copy())
+    spare = np.empty_like(planes[0])
+    for i, j in _network(block.shape[1]):
+        lo, hi = planes[i], planes[j]
+        np.minimum(lo, hi, out=spare)
+        np.maximum(lo, hi, out=hi)
+        planes[i], spare = spare, lo
+    return np.stack(planes, axis=1)
+
+
+def _sort_values(block: np.ndarray) -> np.ndarray:
+    """The per-channel ascending sort of a (k, c, C) block, as a new array."""
+    if _FAULT_MODE == "skip-sort":
+        return block.copy()
+    if block.shape[1] <= _NETWORK_MAX_FILL:
+        return _network_sort(block)
+    # ties carry identical bits after canonicalization, so plain quicksort
+    # yields the same value sequence as the stable sort, cheaper
+    return np.sort(block, axis=1)
 
 
 def _sort_perm(block: np.ndarray, kind: str) -> np.ndarray:
@@ -280,22 +356,22 @@ def _sort_perm(block: np.ndarray, kind: str) -> np.ndarray:
     if kind == "max":
         return (count - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
     if _FAULT_MODE == "skip-sort":
-        return np.broadcast_to(np.arange(count)[None, :, None], block.shape)
+        return np.broadcast_to(np.arange(count)[None, :, None], block.shape).copy()
     return np.argsort(block, axis=1, kind="stable")
 
 
-def _sort_group(group: FillGroup, embedded: np.ndarray, need_perm: bool) -> None:
-    """Sort each channel of the group's (k_c, count, C) block ascending."""
-    block = np.take(embedded, group.rows, axis=0)
-    if need_perm:
-        group.perm = _sort_perm(block, "weighted")
-        group.values = np.take_along_axis(block, group.perm, axis=1)
-    elif _FAULT_MODE == "skip-sort":
-        group.values = block
-    else:
-        # ties carry identical bits after canonicalization, so plain quicksort
-        # yields the same value sequence as the stable sort, cheaper
-        group.values = np.sort(block, axis=1)
+def _source_index(group: FillGroup, embedded: np.ndarray, kind: str) -> np.ndarray:
+    """``group.src``: the group's sort permutation as flat indices into ``embedded``.
+
+    ``src = perm * C + first_row_of_cell * C + channel``.
+    """
+    channels, count = embedded.shape[1], group.count
+    start = group.start * channels
+    first = np.arange(start, start + group.cells.size * count * channels, count * channels)
+    src = _sort_perm(group.block(embedded), kind)
+    src *= channels
+    src += first[:, None, None] + np.arange(channels)
+    return src
 
 
 def _combine(w_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -319,13 +395,13 @@ def sort_project(embedded: np.ndarray, valid_count: int) -> SortedFeatureMatrix:
     _check_padding(embedded, valid_count)
     n = embedded.shape[0]
     pad = n - valid_count
-    (group,) = _fill_groups(np.asarray([valid_count]))
-    _sort_group(group, embedded + 0.0, need_perm=True)
+    occupied = embedded[:valid_count] + 0.0
+    src = _source_index(FillGroup(valid_count, np.arange(1), 0), occupied, "weighted")
     values = np.zeros_like(embedded)
-    values[pad:] = group.values[0]
+    values[pad:] = occupied.ravel().take(src[0])
     perm = np.empty(embedded.shape, dtype=np.int64)
     perm[:pad] = np.arange(valid_count, n)[:, None]  # padding rows take the unused slots
-    perm[pad:] = group.perm[0]
+    perm[pad:] = src[0] // embedded.shape[1]
     return SortedFeatureMatrix(values, perm, valid_count)
 
 
@@ -380,10 +456,11 @@ def aggregate_mean(embedded: np.ndarray, valid_count: int) -> np.ndarray:
 class ForwardCache:
     """Everything descriptor_backward needs from a forward pass.
 
-    Arrays with a leading P axis hold the P occupied slots of the batch,
-    cell by cell in slot order. The groups carry their sorted blocks, and
-    their permutations exactly when the backward routes through them: an MLP
-    with layers and the weighted or max kind.
+    Arrays with a leading P axis hold the P occupied slots of the batch in
+    fill-major order: fill group after fill group, each group's cells in
+    batch order, each cell's rows in slot order. The groups carry their
+    sorted blocks, and their flat source indices exactly when the backward
+    routes through them: an MLP with layers and the weighted or max kind.
     """
 
     kind: str
@@ -421,12 +498,12 @@ def descriptor_forward(
     """Run the full descriptor over every cell of a batch.
 
     Returns (features, cache) where features is (K, C). Only occupied slots
-    are computed: the MLP runs on the P occupied rows, and cells are sorted
-    and combined in groups of equal fill level c, each with the weights of
-    the last c sorted rows. The cache carries the embeddings and sorted
-    blocks needed for the backward pass, plus the sort permutations when the
-    backward routes gradients through them; pass ``need_cache=False`` on
-    inference-only paths to skip it.
+    are computed: the MLP runs on the P occupied rows, laid out fill-major,
+    and cells are sorted and combined in groups of equal fill level c, each
+    with the weights of the last c sorted rows. The cache carries the
+    embeddings and sorted blocks needed for the backward pass, plus each
+    group's flat source index when the backward routes gradients through it;
+    pass ``need_cache=False`` on inference-only paths to skip it.
     """
     if kind not in DESCRIPTOR_KINDS:
         raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
@@ -442,23 +519,26 @@ def descriptor_forward(
             raise ValidationError("weighted aggregation requires AggregationWeights")
         _check_agg_shapes(weights, n, c_out)
 
-    embedded, layer_inputs, layer_preacts = _embed(params, batch.rows, need_cache=need_cache)
-    embedded = embedded + 0.0  # turns -0.0 into +0.0 so ties are bit-identical
+    groups, rows = _fill_major(batch)
+    embedded, layer_inputs, layer_preacts = _embed(params, rows, need_cache=need_cache)
+    # turns -0.0 into +0.0 so ties are bit-identical; in place unless the
+    # identity embedding passed the batch's own rows through (an identity last
+    # layer's cached pre-activation shares the array, and no gradient reads it)
+    embedded = embedded + 0.0 if embedded is batch.rows else np.add(embedded, 0.0, out=embedded)
 
-    # the backward routes sorted-row gradients to their slots only to feed MLP
+    # the backward routes sorted-row gradients to their rows only to feed MLP
     # layers, and the mean spreads them evenly without a permutation
     need_perm = need_cache and bool(params.layers) and kind != "mean"
-    groups = _fill_groups(counts)
     features = np.empty((k, c_out))
     for group in groups:
         c = group.count
+        block = group.block(embedded)
+        if need_perm:
+            group.src = _source_index(group, embedded, kind)
         if kind == "max":
-            block = np.take(embedded, group.rows, axis=0)
             features[group.cells] = block.max(axis=1)
-            if need_perm:
-                group.perm = _sort_perm(block, kind)
             continue
-        _sort_group(group, embedded, need_perm)
+        group.values = embedded.ravel().take(group.src) if need_perm else _sort_values(block)
         w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
         features[group.cells] = _combine(w_rows, group.values)
         if not need_cache:

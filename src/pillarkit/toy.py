@@ -197,6 +197,8 @@ class EvalRecord:
     metric_name: str
     metric_value: float
     elapsed_s: float
+    agg_last_row_mass: float | None = None  # see weight_readout; None without weights
+    agg_distance_from_max_pool: float | None = None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -205,8 +207,23 @@ class EvalRecord:
                 "train_loss": self.train_loss,
                 self.metric_name: self.metric_value,
                 "elapsed_s": self.elapsed_s,
+                "agg_last_row_mass": self.agg_last_row_mass,
+                "agg_distance_from_max_pool": self.agg_distance_from_max_pool,
             }
         )
+
+
+def weight_readout(weights: AggregationWeights | None) -> tuple[float | None, float | None]:
+    """(absolute weight on the last, max-pool row over the total absolute weight,
+    L2 distance from ``max_pool_init``): (1.0, 0.0) at max pooling, Nones without weights."""
+    if weights is None:
+        return None, None
+    w = weights.values
+    channels = None if weights.mode == "shared" else w.shape[1]
+    start = AggregationWeights.max_pool_init(w.shape[0], channels).values
+    total = np.abs(w).sum()
+    mass = float(np.abs(w[-1]).sum() / total) if total else 0.0
+    return mass, float(np.linalg.norm(w - start))
 
 
 @dataclass
@@ -352,11 +369,12 @@ def train_descriptor(
         if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
             records.append(
                 EvalRecord(
-                    step=step + 1,
-                    train_loss=loss,
-                    metric_name=metric_name,
-                    metric_value=evaluate(model, dataset, dataset.val_idx),
-                    elapsed_s=time.perf_counter() - t_start,
+                    step + 1,
+                    loss,
+                    metric_name,
+                    evaluate(model, dataset, dataset.val_idx),
+                    time.perf_counter() - t_start,
+                    *weight_readout(model.weights),
                 )
             )
 

@@ -196,7 +196,7 @@ def test_identity_embedding_backward_computes_no_permutation(kind):
     features, cache = descriptor_forward(MlpParams([]), w, batch, kind)
     grads = descriptor_backward(cache, rng.standard_normal(features.shape))
     grad_dict(grads)
-    assert all(group.perm is None for group in cache.groups)
+    assert all(group.src is None for group in cache.groups)
 
 
 def test_backward_requires_cache_and_matching_shapes():

@@ -4,7 +4,17 @@ import struct
 import numpy as np
 import pytest
 
-from pillarkit import PointCloud, gridding, load_kitti_bin, write_kitti_bin
+from pillarkit import (
+    AggregationWeights,
+    MlpParams,
+    PointCloud,
+    cell_batch_from_arrays,
+    descriptor_backward,
+    descriptor_forward,
+    gridding,
+    load_kitti_bin,
+    write_kitti_bin,
+)
 from pillarkit.cli import main
 
 
@@ -107,7 +117,9 @@ def test_featurize_summary_counts_kept_points(tmp_path, small_grid_config, scan_
     out = tmp_path / "out"
     code = main(["featurize", "--input", str(scan_file), "--config", str(path), "--out", str(out)])
     assert code == 0
-    assert "warning" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "kept none" not in err
+    assert "warning: capacity and max_cells dropped" in err  # most points are over capacity
     summary = json.loads((out / "summary.json").read_text())
     # 300 points over 64 cells: every occupied cell is full at one point
     assert summary["num_cells"] > 50
@@ -164,6 +176,34 @@ def test_featurize_fill_histogram_ends_at_the_fullest_cell(
     assert sum(summary["fill_histogram"]) == summary["num_cells"]
 
 
+@pytest.mark.parametrize("over_capacity, warns", [(10, False), (11, True)])
+def test_featurize_warns_when_caps_drop_over_a_tenth_of_in_range_points(
+    tmp_path, small_grid_config, capsys, over_capacity, warns
+):
+    # 100 points in range, in cells of the small grid's capacity 8, one cell
+    # overflowing by ``over_capacity``; 20 more points lie out of range and
+    # do not count toward the share
+    cells = [(0, 0)] * (8 + over_capacity)
+    for i in range(1, 20):
+        cells += [(i % 8, i // 8)] * min(8, 100 - len(cells))
+    centers = np.array(cells, dtype=np.float64) + 0.5
+    points = np.column_stack([centers, np.zeros(len(cells)), np.full(len(cells), 0.5)])
+    outside = np.tile([[20.0, 4.0, 0.0, 0.5]], (20, 1))
+    path = tmp_path / "scan.bin"
+    write_kitti_bin(PointCloud(np.vstack([points, outside])), path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["featurize", "--input", str(path), "--config", str(small_grid_config),
+                 "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["num_points"] - summary["points_out_of_range"] == 100
+    assert summary["points_over_capacity"] == over_capacity
+    assert_drops_add_up(summary)
+    err = capsys.readouterr().err
+    assert ("warning: capacity and max_cells dropped" in err) == warns
+
+
 def test_featurize_truncated_bin_is_io_error(tmp_path, small_grid_config, scan_file):
     truncated = tmp_path / "truncated.bin"
     truncated.write_bytes(scan_file.read_bytes()[:-5])
@@ -190,6 +230,32 @@ def test_featurize_and_train_toy_never_build_dense_slots(tmp_path, small_grid_co
     code = main(["train-toy", "--config", str(small_grid_config),
                  "--out", str(tmp_path / "train")])
     assert code == 0
+
+
+def test_featurize_and_training_step_never_gather_groups_or_route_along_axis(
+    tmp_path, small_grid_config, scan_file, monkeypatch
+):
+    # the fill-major layout makes every fill group a view of the embedding and
+    # routes gradients through one flat index: no per-group np.take row gather,
+    # no take_along_axis read of the sorted values, no put_along_axis scatter
+    rng = np.random.default_rng(5)
+    counts = rng.integers(1, 9, size=40)
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, 8, 3)), counts)
+    params = MlpParams.create(3, (6, 4), seed=5)
+    weights = AggregationWeights(rng.standard_normal(8))
+
+    def gather(*args, **kwargs):
+        raise AssertionError("a per-group gather or along-axis scatter ran")
+
+    for name in ("take", "take_along_axis", "put_along_axis"):
+        monkeypatch.setattr(np, name, gather)
+    code = main(["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
+                 "--out", str(tmp_path / "featurize")])
+    assert code == 0
+    assert len(np.unique(counts)) > 1
+    for kind, w in (("weighted", weights), ("max", None)):
+        features, cache = descriptor_forward(params, w, batch, kind)
+        descriptor_backward(cache, np.ones_like(features))
 
 
 def test_featurize_deterministic_output_files(tmp_path, small_grid_config, scan_file):
@@ -333,6 +399,11 @@ def test_train_toy_writes_outputs_for_both_kinds(tmp_path, small_grid_config):
         assert len(lines) == 2  # eval at steps 20 and 40
         record = json.loads(lines[-1])
         assert record["step"] == 40
+        if kind == "weighted":  # the readout of the aggregation weights
+            assert 0.0 < record["agg_last_row_mass"] < 1.0
+            assert record["agg_distance_from_max_pool"] > 0.0
+        else:
+            assert record["agg_last_row_mass"] is record["agg_distance_from_max_pool"] is None
         final = json.loads((out / "final.json").read_text())
         assert final["kind"] == kind
         assert (out / "checkpoint.json").exists()

@@ -1,0 +1,272 @@
+"""The fill-major descriptor against the cell-major one it replaced.
+
+``_reference_forward`` and ``_reference_backward`` keep the previous
+implementation, frozen: the occupied rows are embedded in cell-major order,
+each fill group's rows are gathered out of the embedding, sorted with a
+stable argsort and ``take_along_axis`` (or ``np.sort`` when no permutation is
+needed), and gradients are routed back with ``put_along_axis``. The library's
+layout, sorting network and flat-index routing must reproduce its features,
+sorted matrices and gradients bitwise.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pillarkit import (
+    AggregationWeights,
+    MlpParams,
+    cell_batch_from_arrays,
+    descriptor_backward,
+    descriptor_forward,
+)
+from pillarkit.autograd import grad_dict
+from pillarkit.descriptor import _NETWORK_MAX_FILL, _network, _network_sort, set_fault_mode
+
+
+def _reference_embed(params, x, need_cache):
+    inputs, preacts = [], []
+    for layer in params.layers:
+        if x.shape[0] == 1:  # a one-row product goes to gemv, which rounds differently
+            z = (np.concatenate([x, x]) @ layer.weight)[:1] + layer.bias
+        else:
+            z = x @ layer.weight + layer.bias
+        if need_cache:
+            inputs.append(x)
+            preacts.append(z)
+        x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return x, inputs, preacts
+
+
+def _reference_groups(counts):
+    """(count, cells, rows) per fill level; rows index the cell-major rows."""
+    by_fill = np.argsort(counts, kind="stable")
+    levels, first = np.unique(counts[by_fill], return_index=True)
+    starts = np.cumsum(counts) - counts
+    return [
+        (int(c), cells, starts[cells][:, None] + np.arange(c))
+        for c, cells in zip(levels, np.split(by_fill, first[1:]))
+    ]
+
+
+def _combine(w_rows, values):
+    if w_rows.ndim == 1:
+        return np.einsum("n,knc->kc", w_rows, values)
+    return np.einsum("nc,knc->kc", w_rows, values)
+
+
+def _reference_forward(params, weights, batch, kind, need_cache):
+    """Returns (features, dense sorted matrices or None, backward state or None)."""
+    counts, n = batch.valid_count, batch.capacity
+    embedded, inputs, preacts = _reference_embed(params, batch.rows, need_cache)
+    embedded = embedded + 0.0
+    need_perm = need_cache and bool(params.layers) and kind != "mean"
+    features = np.empty((counts.size, embedded.shape[1]))
+    sorted_values = np.zeros((counts.size, n, embedded.shape[1]))
+    groups = []
+    for c, cells, rows in _reference_groups(counts):
+        block = np.take(embedded, rows, axis=0)
+        values = perm = None
+        if kind == "max":
+            features[cells] = block.max(axis=1)
+            if need_perm:
+                perm = (c - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
+        else:
+            if need_perm:
+                perm = np.argsort(block, axis=1, kind="stable")
+                values = np.take_along_axis(block, perm, axis=1)
+            else:
+                values = np.sort(block, axis=1)
+            w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
+            features[cells] = _combine(w_rows, values)
+            sorted_values[cells, n - c :] = values
+        groups.append((c, cells, rows, values, perm))
+    if not need_cache:
+        return features, None, None
+    state = (kind, params, weights, n, inputs, preacts, embedded, groups)
+    return features, (None if kind == "max" else sorted_values), state
+
+
+def _reference_row_order(embedded, groups):
+    key = embedded.sum(axis=1)
+    parts = []
+    for _, _, group_rows, _, _ in groups:
+        keys = key[group_rows]
+        rank = np.argsort(keys, axis=1, kind="stable")
+        rows = np.take_along_axis(group_rows, rank, axis=1)
+        keys = np.take_along_axis(keys, rank, axis=1)
+        cell, pos = np.nonzero(keys[:, 1:] == keys[:, :-1])
+        differ = (embedded[rows[cell, pos]] != embedded[rows[cell, pos + 1]]).any(axis=1)
+        for i in np.unique(cell[differ]):
+            cell_rows = group_rows[i]
+            rows[i] = cell_rows[np.lexsort(embedded[cell_rows].T[::-1])]
+        parts.append(rows.ravel())
+    return np.concatenate(parts)
+
+
+def _reference_backward(state, upstream):
+    kind, params, weights, n, inputs, preacts, embedded, groups = state
+    grads = {}
+    w = None
+    if kind == "weighted":
+        w = weights.values
+        agg = np.zeros_like(w)
+        spec = "kc,knc->n" if w.ndim == 1 else "kc,knc->nc"
+        for c, cells, _, values, _ in groups:
+            agg[n - c :] += np.einsum(spec, upstream[cells], values)
+        grads["agg"] = agg
+    if not params.layers:
+        return grads
+    d_rows = np.empty_like(embedded)
+    for c, cells, rows, _, perm in groups:
+        up = upstream[cells][:, None, :]
+        if kind == "mean":
+            d_rows[rows] = up / c
+            continue
+        if kind == "max":
+            d_sorted = up
+        elif w.ndim == 1:
+            d_sorted = up * w[n - c :][None, :, None]
+        else:
+            d_sorted = up * w[n - c :][None]
+        d_block = np.zeros((cells.size, c, embedded.shape[1]))
+        np.put_along_axis(d_block, perm, d_sorted, axis=1)
+        d_rows[rows] = d_block
+    order = _reference_row_order(embedded, groups)
+    dy = d_rows[order]
+    for i in reversed(range(len(params.layers))):
+        layer = params.layers[i]
+        z = preacts[i]
+        dz = dy * (z[order] > 0.0) if layer.activation == "relu" else dy
+        grads[f"mlp.{i}.weight"] = inputs[i][order].T @ dz
+        grads[f"mlp.{i}.bias"] = dz.sum(axis=0)
+        if i:
+            dy = dz @ layer.weight.T
+    return grads
+
+
+def _cells(rng, counts, n, c_in, duplicates):
+    """(K, n, c_in) slots with signed zeros and repeated points."""
+    data = rng.standard_normal((counts.size, n, c_in))
+    data[rng.random(data.shape) < 0.1] = 0.0
+    data[rng.random(data.shape) < 0.05] = -0.0
+    if duplicates:
+        for i, count in enumerate(counts):  # copy whole points within a cell
+            src = rng.integers(0, count, size=count)
+            keep = rng.random(count) < 0.5
+            data[i, :count][keep] = data[i, src[keep]]
+    return data
+
+
+def _shuffled(data, counts, rng):
+    out = data.copy()
+    for i, count in enumerate(counts):
+        out[i, :count] = data[i, rng.permutation(count)]
+    return out
+
+
+def _assert_matches_reference(params, weights, batch, kind, upstream):
+    rows = batch.rows.tobytes()
+    expected, expected_sorted, state = _reference_forward(params, weights, batch, kind, True)
+    features, cache = descriptor_forward(params, weights, batch, kind, need_cache=True)
+    assert batch.rows.tobytes() == rows  # the forward leaves its input alone
+    assert features.tobytes() == expected.tobytes()
+    if kind == "max":
+        assert cache.sorted_values is None
+    else:
+        assert cache.sorted_values.tobytes() == expected_sorted.tobytes()
+    inference, _ = descriptor_forward(params, weights, batch, kind, need_cache=False)
+    reference_inference, _, _ = _reference_forward(params, weights, batch, kind, False)
+    assert inference.tobytes() == reference_inference.tobytes() == expected.tobytes()
+
+    grads = grad_dict(descriptor_backward(cache, upstream))
+    expected_grads = _reference_backward(state, upstream)
+    assert grads.keys() == expected_grads.keys()
+    for name, grad in grads.items():
+        assert grad.tobytes() == expected_grads[name].tobytes(), name
+    return grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3, 5, 8, _NETWORK_MAX_FILL, _NETWORK_MAX_FILL + 1, 20]),
+    k=st.integers(1, 24),
+    fill=st.sampled_from(["random", "single-level", "one-point-cells", "full"]),
+    duplicates=st.booleans(),
+    depth=st.integers(0, 2),
+    kind_mode=st.sampled_from(
+        [("weighted", "shared"), ("weighted", "per-channel"), ("max", None), ("mean", None)]
+    ),
+)
+def test_fill_major_matches_cell_major_reference(seed, n, k, fill, duplicates, depth, kind_mode):
+    kind, mode = kind_mode
+    rng = np.random.default_rng(seed)
+    counts = {
+        "random": lambda: rng.integers(1, n + 1, size=k),
+        "single-level": lambda: np.full(k, rng.integers(1, n + 1)),
+        "one-point-cells": lambda: np.where(rng.random(k) < 0.7, 1, rng.integers(1, n + 1, size=k)),
+        "full": lambda: np.full(k, n),
+    }[fill]().astype(np.int64)
+    c_in = int(rng.integers(1, 6))
+    widths = tuple(int(w) for w in rng.integers(1, 9, size=depth))
+    params = MlpParams.create(c_in, widths, seed=seed % 2**31) if depth else MlpParams([])
+    for layer in params.layers:
+        layer.bias = 0.1 * rng.standard_normal(layer.bias.shape)
+    c_out = params.output_channels(c_in)
+    weights = None
+    if kind == "weighted":
+        shape = (n,) if mode == "shared" else (n, c_out)
+        weights = AggregationWeights(rng.standard_normal(shape), mode)
+    upstream = rng.standard_normal((k, c_out))
+
+    data = _cells(rng, counts, n, c_in, duplicates)
+    grads = _assert_matches_reference(
+        params, weights, cell_batch_from_arrays(data, counts), kind, upstream
+    )
+    shuffled = cell_batch_from_arrays(_shuffled(data, counts, rng), counts)
+    shuffled_grads = _assert_matches_reference(params, weights, shuffled, kind, upstream)
+    for name, grad in grads.items():  # slot order cannot change the parameter gradients
+        assert grad.tobytes() == shuffled_grads[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The compare-exchange network
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", range(1, _NETWORK_MAX_FILL + 1))
+def test_network_sorts_every_zero_one_input(c):
+    # the 0-1 principle: a comparator network that sorts every 0-1 input sorts all inputs
+    bits = (np.arange(2**c)[:, None] >> np.arange(c)) & 1
+    block = bits[:, :, None].astype(np.float64)
+    assert (np.diff(_network_sort(block), axis=1) >= 0).all()
+    assert all(0 <= i < j < c for i, j in _network(c))
+
+
+@pytest.mark.parametrize("c", range(1, _NETWORK_MAX_FILL + 1))
+def test_network_equals_np_sort_bitwise_with_ties_and_zeros(c):
+    rng = np.random.default_rng(c)
+    block = rng.standard_normal((50, c, 7))
+    block[rng.random(block.shape) < 0.3] = 0.0
+    ties = rng.random(block.shape) < 0.3
+    block[ties] = rng.choice([-1.5, 0.25, 3.0], size=int(ties.sum()))
+    block[:5] = block[:5, :1]  # cells whose points are all equal
+    assert _network_sort(block).tobytes() == np.sort(block, axis=1).tobytes()
+    view = np.concatenate([block, block])[::2]  # a non-contiguous block
+    assert _network_sort(view).tobytes() == np.sort(view, axis=1).tobytes()
+
+
+def test_skip_sort_fault_bypasses_the_network():
+    rng = np.random.default_rng(3)
+    counts = np.arange(2, _NETWORK_MAX_FILL + 1)
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, _NETWORK_MAX_FILL, 3)), counts)
+    set_fault_mode("skip-sort")
+    try:
+        _, cache = descriptor_forward(MlpParams([]), None, batch, "mean")
+    finally:
+        set_fault_mode(None)
+    occupied = np.arange(_NETWORK_MAX_FILL)[None, :] >= (_NETWORK_MAX_FILL - counts)[:, None]
+    falls = (np.diff(cache.sorted_values, axis=1) < 0).any(axis=2) & occupied[:, :-1]
+    assert falls.any()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pillarkit import (
+    AggregationWeights,
     DivergenceError,
     MlpParams,
     ToyTaskSpec,
@@ -14,10 +15,12 @@ from pillarkit import (
     train_descriptor,
 )
 from pillarkit.toy import (
+    _init_model,
     evaluate,
     load_checkpoint,
     quantile_spread_scores,
     save_checkpoint,
+    weight_readout,
 )
 
 
@@ -93,6 +96,29 @@ def test_frozen_unit_weights_match_max_pool_trajectory_bitwise():
     unit = np.zeros(dataset.cells.shape[1])
     unit[-1] = 1.0
     np.testing.assert_array_equal(model_frozen.weights.values, unit)
+
+
+@pytest.mark.parametrize("mode", ["shared", "per-channel"])
+def test_weight_readout_leaves_max_pool_unless_frozen(mode):
+    dataset = build_toy_dataset(quick_spec())
+    n, channels = dataset.cells.shape[1:]
+    start = AggregationWeights.max_pool_init(n, None if mode == "shared" else channels)
+    assert weight_readout(start) == (1.0, 0.0)
+    assert weight_readout(None) == (None, None)
+
+    def trained(freeze_agg):
+        model = _init_model(dataset, quick_config(freeze_agg=freeze_agg))
+        model.weights = start
+        metrics, _, _ = train_descriptor(dataset, quick_config(freeze_agg=freeze_agg), model)
+        return metrics.records
+
+    for record in trained(freeze_agg=True):
+        assert record.agg_last_row_mass == 1.0
+        assert record.agg_distance_from_max_pool == 0.0
+    moved = trained(freeze_agg=False)
+    assert [r.step for r in moved] == [30, 60]  # read at eval steps only
+    assert all(r.agg_last_row_mass < 1.0 for r in moved)
+    assert 0.0 < moved[0].agg_distance_from_max_pool < moved[1].agg_distance_from_max_pool
 
 
 def test_loss_decreases_over_five_seeds():
