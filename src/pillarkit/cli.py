@@ -146,7 +146,7 @@ def cmd_featurize(args) -> int:
         "forward", descriptor_forward, params, weights, batch, kind, need_cache=False
     )
     fmap = timed("scatter", scatter_to_grid, features, batch.cell_coords, spec)
-    blob, header = timed("save", fmap.save, out_dir / "featuremap")
+    blob, header = timed("save", fmap.save, out_dir / "featuremap", dense=args.dense)
 
     total_cells = int(np.prod(spec.grid_shape))
     points_kept = int(batch.valid_count.sum())
@@ -163,6 +163,8 @@ def cmd_featurize(args) -> int:
         "fill_histogram": np.bincount(batch.valid_count)[1:].tolist(),
         "occupancy": batch.num_cells / total_cells,
         "feature_channels": fmap.num_channels,
+        "map_layout": "dense" if args.dense else "sparse",
+        "map_bytes": blob.stat().st_size,
         "stage_s": stage_s,
         "elapsed_s": time.perf_counter() - t0,
     }
@@ -172,7 +174,7 @@ def cmd_featurize(args) -> int:
     if points_kept == 0:
         print(
             f"warning: featurize kept none of the {cloud.num_points} points inside the grid "
-            f"range; the feature map is all zeros",
+            f"range; the feature map holds no cells",
             file=sys.stderr,
         )
     elif capped > DROP_WARNING_SHARE * in_range:
@@ -333,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--descriptor", choices=["weighted", "max", "mean"], default=None)
     p_feat.add_argument("--checkpoint", help="descriptor checkpoint JSON to load")
     p_feat.add_argument("--out", required=True, help="output directory")
+    p_feat.add_argument("--dense", action="store_true",
+                        help="write the dense grid, not the occupied cells' coords and features")
     p_feat.set_defaults(func=cmd_featurize)
 
     p_train = sub.add_parser("train-toy", help="train the descriptor on a toy task")

@@ -1,4 +1,4 @@
-"""Pillar/voxel binning of point clouds and dense feature-map scatter/gather.
+"""Pillar/voxel binning of point clouds and feature-map scatter/gather.
 
 Binning uses half-open per-axis intervals ``[range_min, range_min + dims * cell)``
 with floor indexing, so every kept point maps to exactly one cell. Cell
@@ -330,7 +330,8 @@ class FeatureMap:
     as zero. The constructor takes a dense grid and stores all of its cells
     (a reshape, so zero and -0.0 cells keep their bits); ``from_cells`` wraps
     sorted rows directly. ``values`` reads the dense grid back: a read-only
-    array, built on each access.
+    array, built on each access, refused with ValidationError if it would
+    outgrow physical memory.
     """
 
     def __init__(self, values):
@@ -355,9 +356,14 @@ class FeatureMap:
     def num_channels(self) -> int:
         return self.shape[-1]
 
+    def _require_dense_memory(self) -> None:
+        require_memory(8 * math.prod(self.shape), f"dense feature grid {self.shape}",
+                       "shrink the ranges or keep the map sparse")
+
     @property
     def values(self) -> np.ndarray:
         """The dense grid, zero where no cell is stored; built on each access."""
+        self._require_dense_memory()
         out = np.zeros(self.shape)
         out.reshape(math.prod(self.shape[:-1]), self.num_channels)[self.cells] = self.features
         out.flags.writeable = False
@@ -375,62 +381,100 @@ class FeatureMap:
         out[hit] = self.features[pos[hit]]
         return out.reshape(np.shape(flat) + (self.num_channels,))
 
-    def save(self, stem: str | Path) -> tuple[Path, Path]:
-        """Write ``<stem>.bin`` (row-major float64 blob) plus ``<stem>.json`` header.
+    def save(self, stem: str | Path, dense: bool = False) -> tuple[Path, Path]:
+        """Write ``<stem>.bin`` plus its ``<stem>.json`` header.
 
-        The blob is the dense grid's bytes, written one block of cells at a
-        time through one zero-filled buffer of ``SAVE_BUFFER_BYTES``, so no
-        dense grid is built.
+        The sparse blob holds the stored cells' int64 map coordinates (K, D)
+        followed by their float64 features (K, C), both in ``cells`` order.
+        With ``dense`` it is the dense grid's row-major bytes, written one
+        block of cells at a time through one zero-filled buffer of
+        ``SAVE_BUFFER_BYTES``; a grid that would outgrow physical memory is
+        refused with ValidationError before any file is touched.
         """
         stem = Path(stem)
         blob = stem.with_suffix(".bin")
         header = stem.with_suffix(".json")
-        total = math.prod(self.shape[:-1])
-        block = max(1, SAVE_BUFFER_BYTES // (8 * max(self.num_channels, 1)))
-        buffer = np.zeros((block, self.num_channels))
-        starts = np.arange(0, total + block, block)
-        bounds = np.searchsorted(self.cells, starts)
+        if dense:
+            self._require_dense_memory()
+            meta = {"shape": list(self.shape), "dtype": "f64", "order": "row-major"}
+        else:
+            meta = {"shape": list(self.shape), "dtype": "f64", "layout": "sparse",
+                    "num_cells": int(self.cells.size)}
         # an existing blob is overwritten in place and cut to length after:
         # truncating it to zero at open made each save wait for the previous
         # one's pages to be flushed (about 75 ms for a 110 MB map on ext4).
         # The header goes last, so a save that fails midway leaves none.
         header.unlink(missing_ok=True)
         with open(os.open(blob, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-            for i, start in enumerate(starts[:-1]):
-                lo, hi = bounds[i], bounds[i + 1]
-                rows = self.cells[lo:hi] - start
-                buffer[rows] = self.features[lo:hi]
-                handle.write(buffer[: min(block, total - start)])
-                buffer[rows] = 0.0
+            if dense:
+                self._write_dense(handle)
+            else:
+                coords = np.stack(np.unravel_index(self.cells, self.shape[:-1]), axis=1)
+                handle.write(np.ascontiguousarray(coords, dtype=np.int64))
+                handle.write(np.ascontiguousarray(self.features, dtype=np.float64))
             handle.truncate()
-        header.write_text(
-            json.dumps(
-                {"shape": list(self.shape), "dtype": "f64", "order": "row-major"},
-                indent=2,
-            )
-        )
+        header.write_text(json.dumps(meta, indent=2))
         return blob, header
+
+    def _write_dense(self, handle) -> None:
+        total = math.prod(self.shape[:-1])
+        block = max(1, SAVE_BUFFER_BYTES // (8 * max(self.num_channels, 1)))
+        buffer = np.zeros((block, self.num_channels))
+        starts = np.arange(0, total + block, block)
+        bounds = np.searchsorted(self.cells, starts)
+        for i, start in enumerate(starts[:-1]):
+            lo, hi = bounds[i], bounds[i + 1]
+            rows = self.cells[lo:hi] - start
+            buffer[rows] = self.features[lo:hi]
+            handle.write(buffer[: min(block, total - start)])
+            buffer[rows] = 0.0
 
     @classmethod
     def load(cls, stem: str | Path) -> "FeatureMap":
+        """Read a map written by :meth:`save`, sparse or dense.
+
+        A header without ``layout`` is dense. Every size is checked against
+        the blob's length before anything is read, and a sparse map's
+        coordinates must be in range and strictly ascending in row-major
+        order; any violation raises FileFormatError.
+        """
         stem = Path(stem)
         try:
             meta = json.loads(stem.with_suffix(".json").read_text())
             shape = tuple(int(v) for v in meta["shape"])
             if meta.get("dtype") != "f64":
                 raise FileFormatError(f"unsupported dtype {meta.get('dtype')!r}")
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            layout = meta.get("layout", "dense")
+            num_cells = meta["num_cells"] if layout == "sparse" else None
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise FileFormatError(f"bad feature map header: {exc}") from exc
-        if any(d < 0 for d in shape):
-            raise FileFormatError(f"bad feature map header: negative dimension in {shape}")
+        if layout not in ("sparse", "dense"):
+            raise FileFormatError(f"bad feature map header: unknown layout {layout!r}")
+        if len(shape) < 2 or any(d < 0 for d in shape):
+            raise FileFormatError(f"bad feature map header: shape {shape} is not (*grid, C)")
+        *grid, channels = shape
+        if math.prod(grid) > np.iinfo(np.int64).max:
+            raise FileFormatError(f"bad feature map header: grid {tuple(grid)} is too large")
+        if layout == "sparse" and (type(num_cells) is not int or num_cells < 0):
+            raise FileFormatError(f"bad feature map header: num_cells {num_cells!r}")
         blob = stem.with_suffix(".bin")
         size = blob.stat().st_size
-        expected = 8 * math.prod(shape)
+        row = len(grid) + channels  # int64 coords, then float64 features
+        expected = 8 * (math.prod(shape) if layout == "dense" else num_cells * row)
         if size != expected:
-            raise FileFormatError(
-                f"feature map blob holds {size} bytes, header shape {shape} needs {expected}"
-            )
-        return cls(np.fromfile(blob, dtype=np.float64).reshape(shape))
+            raise FileFormatError(f"feature map blob holds {size} bytes, its header {meta} needs "
+                                  f"{expected}")
+        if layout == "dense":
+            return cls(np.fromfile(blob, dtype=np.float64).reshape(shape))
+        data = np.fromfile(blob, dtype=np.int64)
+        coords = data[: num_cells * len(grid)].reshape(num_cells, len(grid))
+        features = data[num_cells * len(grid):].view(np.float64).reshape(num_cells, channels)
+        if ((coords < 0) | (coords >= np.asarray(grid, dtype=np.int64))).any():
+            raise FileFormatError("sparse feature map holds coords outside the grid")
+        cells = np.ravel_multi_index(tuple(coords.T), grid)
+        if (cells[1:] <= cells[:-1]).any():
+            raise FileFormatError("sparse feature map coords are not strictly ascending")
+        return cls.from_cells(features, cells, shape)
 
 
 def physical_memory_bytes() -> int:
@@ -453,9 +497,7 @@ def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) ->
 
     ``coords`` must be unique, in-range map coordinates aligned with
     ``features`` rows; every untouched cell stays zero. The map is stored
-    cell-major, but a dense grid (``values``, or the file ``save`` writes)
-    larger than physical memory raises ValidationError here, before anything
-    is allocated.
+    cell-major, so no grid is allocated here, whatever its size.
     """
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.int64)
@@ -471,6 +513,4 @@ def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) ->
     cells = flat[order]
     if (cells[1:] == cells[:-1]).any():
         raise ValidationError("duplicate cell coords")
-    shape = dims + (features.shape[1],)
-    require_memory(8 * math.prod(shape), f"dense {spec.mode} grid {shape}", "shrink the ranges")
-    return FeatureMap.from_cells(features[order], cells, shape)
+    return FeatureMap.from_cells(features[order], cells, dims + (features.shape[1],))

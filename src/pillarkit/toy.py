@@ -199,6 +199,8 @@ class EvalRecord:
     elapsed_s: float
     agg_last_row_mass: float | None = None  # see weight_readout; None without weights
     agg_distance_from_max_pool: float | None = None
+    step_s: float | None = None  # mean wall time per step since the previous record
+    grad_norm: dict[str, float] | None = None  # see grad_norms
 
     def to_json(self) -> str:
         return json.dumps(
@@ -209,6 +211,8 @@ class EvalRecord:
                 "elapsed_s": self.elapsed_s,
                 "agg_last_row_mass": self.agg_last_row_mass,
                 "agg_distance_from_max_pool": self.agg_distance_from_max_pool,
+                "step_s": self.step_s,
+                "grad_norm": self.grad_norm,
             }
         )
 
@@ -224,6 +228,15 @@ def weight_readout(weights: AggregationWeights | None) -> tuple[float | None, fl
     total = np.abs(w).sum()
     mass = float(np.abs(w[-1]).sum() / total) if total else 0.0
     return mass, float(np.linalg.norm(w - start))
+
+
+def grad_norms(grads: dict[str, np.ndarray]) -> dict[str, float]:
+    """L2 norm of the gradients of each trainable group: ``mlp``, ``agg`` and ``head``."""
+    squares: dict[str, float] = {}
+    for name, grad in grads.items():
+        group = name.split(".")[0]
+        squares[group] = squares.get(group, 0.0) + float(np.vdot(grad, grad))
+    return {group: float(np.sqrt(total)) for group, total in squares.items()}
 
 
 @dataclass
@@ -324,7 +337,8 @@ def train_descriptor(
 
     records: list[EvalRecord] = []
     losses: list[float] = []
-    t_start = time.perf_counter()
+    t_start = t_record = time.perf_counter()
+    step_record = model.step
     for step in range(model.step, config.steps):
         batch_rng = np.random.default_rng([config.seed, 3, step])
         take = min(config.batch_size, dataset.train_idx.size)
@@ -354,8 +368,9 @@ def train_descriptor(
         grads["head.bias"] = np.asarray([d_out.sum()])
 
         trainable = _trainable(model, config)
+        grads = {name: grads[name] for name in trainable}
         try:
-            values = optimizer_step(state, trainable, {name: grads[name] for name in trainable})
+            values = optimizer_step(state, trainable, grads)
         except NonFiniteError as exc:
             raise DivergenceError(f"non-finite gradient at step {step}: {exc}", step=step) from exc
         params, weights = rebuild_from_dict(
@@ -367,6 +382,7 @@ def train_descriptor(
         )
 
         if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
+            step_s = (time.perf_counter() - t_record) / (step + 1 - step_record)
             records.append(
                 EvalRecord(
                     step + 1,
@@ -375,8 +391,11 @@ def train_descriptor(
                     evaluate(model, dataset, dataset.val_idx),
                     time.perf_counter() - t_start,
                     *weight_readout(model.weights),
+                    step_s,
+                    grad_norms(grads),
                 )
             )
+            t_record, step_record = time.perf_counter(), step + 1
 
     final_value = records[-1].metric_value if records else evaluate(model, dataset, dataset.val_idx)
     metrics = Metrics(

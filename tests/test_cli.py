@@ -6,6 +6,7 @@ import pytest
 
 from pillarkit import (
     AggregationWeights,
+    FeatureMap,
     MlpParams,
     PointCloud,
     cell_batch_from_arrays,
@@ -103,10 +104,12 @@ def test_featurize_empty_cloud(tmp_path, small_grid_config, points, capsys):
     assert summary["points_out_of_range"] == len(points)
     assert_drops_add_up(summary)
     assert summary["fill_histogram"] == []
-    blob = np.frombuffer((out / "featuremap.bin").read_bytes(), dtype=np.float64)
-    assert not blob.any()
+    assert summary["map_bytes"] == 0
+    fmap = FeatureMap.load(out / "featuremap")
+    assert fmap.cells.size == 0 and fmap.features.shape == (0, 16)
     header = json.loads((out / "featuremap.json").read_text())
     assert header["shape"] == [8, 8, 16]
+    assert header["num_cells"] == 0
 
 
 def test_featurize_summary_counts_kept_points(tmp_path, small_grid_config, scan_file, capsys):
@@ -258,13 +261,14 @@ def test_featurize_and_training_step_never_gather_groups_or_route_along_axis(
         descriptor_backward(cache, np.ones_like(features))
 
 
-def test_featurize_deterministic_output_files(tmp_path, small_grid_config, scan_file):
+@pytest.mark.parametrize("layout", [[], ["--dense"]], ids=["sparse", "dense"])
+def test_featurize_deterministic_output_files(tmp_path, small_grid_config, scan_file, layout):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(
             ["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
-             "--seed", "5", "--out", str(out)]
+             "--seed", "5", "--out", str(out), *layout]
         )
         assert code == 0
         outs.append(out)
@@ -299,9 +303,46 @@ def test_featurize_voxel_defaults_exit_config_error_before_allocating(
     # machine would try to allocate it
     monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: 2**30)
     code = main(["featurize", "--input", str(scan_file), "--mode", "voxel",
-                 "--out", str(tmp_path / "out")])
+                 "--out", str(tmp_path / "out"), "--dense"])
     assert code == 2
     assert not (tmp_path / "out" / "featuremap.bin").exists()
+
+
+def test_featurize_voxel_defaults_write_a_sparse_map(tmp_path, scan_file, monkeypatch):
+    # the sparse map never needs the 43 GiB dense grid, whatever the memory
+    monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: 2**30)
+    out = tmp_path / "out"
+    code = main(["featurize", "--input", str(scan_file), "--mode", "voxel", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    header = json.loads((out / "featuremap.json").read_text())
+    assert header["layout"] == "sparse"
+    assert header["shape"] == [40, 1600, 1408, 64]
+    assert header["num_cells"] == summary["num_cells"] > 0
+    assert summary["map_bytes"] == 8 * summary["num_cells"] * (3 + 64)
+    fmap = FeatureMap.load(out / "featuremap")
+    assert fmap.features.shape == (summary["num_cells"], 64)
+
+
+def test_featurize_sparse_and_dense_maps_hold_the_same_grid(tmp_path, small_grid_config,
+                                                           scan_file):
+    summaries = {}
+    for layout in ("sparse", "dense"):
+        code = main(["featurize", "--input", str(scan_file), "--config", str(small_grid_config),
+                     "--out", str(tmp_path / layout), *(["--dense"] if layout == "dense" else [])])
+        assert code == 0
+        summaries[layout] = json.loads((tmp_path / layout / "summary.json").read_text())
+    for layout, summary in summaries.items():
+        assert summary["map_layout"] == layout
+        assert summary["map_bytes"] == (tmp_path / layout / "featuremap.bin").stat().st_size
+    cells = summaries["sparse"]["num_cells"]
+    assert summaries["sparse"]["map_bytes"] == 8 * cells * (2 + 16)
+    assert summaries["dense"]["map_bytes"] == 8 * 8 * 8 * 16
+    dense_header = json.loads((tmp_path / "dense" / "featuremap.json").read_text())
+    assert dense_header == {"shape": [8, 8, 16], "dtype": "f64", "order": "row-major"}
+    sparse = FeatureMap.load(tmp_path / "sparse" / "featuremap")
+    assert sparse.cells.size == cells
+    assert (tmp_path / "dense" / "featuremap.bin").read_bytes() == sparse.values.tobytes()
 
 
 def test_bad_config_is_config_error(tmp_path, scan_file):
@@ -404,6 +445,12 @@ def test_train_toy_writes_outputs_for_both_kinds(tmp_path, small_grid_config):
             assert record["agg_distance_from_max_pool"] > 0.0
         else:
             assert record["agg_last_row_mass"] is record["agg_distance_from_max_pool"] is None
+        for line in lines:
+            record = json.loads(line)
+            assert np.isfinite(record["step_s"]) and record["step_s"] > 0.0
+            assert set(record["grad_norm"]) == ({"agg", "head"} if kind == "weighted"
+                                                else {"head"})
+            assert all(np.isfinite(v) for v in record["grad_norm"].values())
         final = json.loads((out / "final.json").read_text())
         assert final["kind"] == kind
         assert (out / "checkpoint.json").exists()

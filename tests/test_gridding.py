@@ -225,32 +225,54 @@ def test_feature_map_save_load_roundtrip(tmp_path):
     back = FeatureMap.load(tmp_path / "map")
     assert back.values.tobytes() == fmap.values.tobytes()
     header = json.loads((tmp_path / "map.json").read_text())
+    assert header == {"shape": [4, 6, 3], "dtype": "f64", "layout": "sparse", "num_cells": 24}
+    fmap.save(tmp_path / "map", dense=True)
+    assert FeatureMap.load(tmp_path / "map").values.tobytes() == fmap.values.tobytes()
+    header = json.loads((tmp_path / "map.json").read_text())
     assert header == {"shape": [4, 6, 3], "dtype": "f64", "order": "row-major"}
+
+
+def test_feature_map_sparse_blob_is_coords_then_features(tmp_path):
+    spec = small_pillar_spec()
+    coords = np.array([[7, 2], [0, 9], [3, 3]])
+    features = np.array([[1.5, -0.0], [2.0, 3.0], [-4.0, 0.25]])
+    blob, _ = scatter_to_grid(features, coords, spec).save(tmp_path / "map")
+    order = [1, 2, 0]  # ascending flat cell index
+    assert blob.read_bytes() == coords[order].astype(np.int64).tobytes() + features[order].tobytes()
 
 
 def test_feature_map_save_writes_row_major_bytes_of_any_layout(tmp_path):
     values = np.asfortranarray(np.random.default_rng(6).standard_normal((3, 5, 2)))
-    blob, _ = FeatureMap(values).save(tmp_path / "map")
+    blob, _ = FeatureMap(values).save(tmp_path / "map", dense=True)
     assert blob.read_bytes() == values.tobytes(order="C")
 
 
-def test_scatter_rejects_a_grid_larger_than_physical_memory(monkeypatch):
+def test_dense_grid_larger_than_physical_memory_is_refused_before_allocating(
+    tmp_path, monkeypatch
+):
     # the limit is patched, so the check is tested without allocating
     spec = small_pillar_spec()
     needed = 8 * 10 * 10 * 3
     monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: needed)
     assert scatter_to_grid(np.ones((1, 3)), np.array([[0, 0]]), spec).values.nbytes == needed
     monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: needed - 1)
+    fmap = scatter_to_grid(np.ones((1, 3)), np.array([[0, 0]]), spec)  # sparse: no grid
     with pytest.raises(ValidationError, match="physical memory"):
-        scatter_to_grid(np.ones((1, 3)), np.array([[0, 0]]), spec)
+        fmap.values
+    with pytest.raises(ValidationError, match="physical memory"):
+        fmap.save(tmp_path / "map", dense=True)
+    assert not list(tmp_path.iterdir())  # refused before any file is touched
+    fmap.save(tmp_path / "map")
+    assert FeatureMap.load(tmp_path / "map").gather([[0, 0]]).tolist() == [[1.0, 1.0, 1.0]]
     voxel = GridSpec.kitti_voxel_defaults()
     monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: 40 * 2**30)
+    fmap = scatter_to_grid(np.zeros((0, 64)), np.zeros((0, 3), dtype=np.int64), voxel)
     with pytest.raises(ValidationError, match=r"\(40, 1600, 1408, 64\) needs 43.0 GiB"):
-        scatter_to_grid(np.zeros((0, 64)), np.zeros((0, 3), dtype=np.int64), voxel)
+        fmap.values
 
 
 def test_feature_map_load_rejects_blob_not_matching_header(tmp_path):
-    FeatureMap(np.zeros((2, 3, 4))).save(tmp_path / "map")
+    FeatureMap(np.zeros((2, 3, 4))).save(tmp_path / "map", dense=True)
     blob = tmp_path / "map.bin"
     blob.write_bytes(blob.read_bytes()[:23])  # truncated mid-value
     with pytest.raises(FileFormatError, match="23 bytes"):
@@ -455,7 +477,7 @@ def test_feature_map_save_matches_dense_writer(data, tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gridding, "SAVE_BUFFER_BYTES", buffer_bytes)
         fmap = scatter_to_grid(features, coords, spec)
-        blob, header = fmap.save(out / "map")
+        blob, header = fmap.save(out / "map", dense=True)
     assert blob.read_bytes() == (out / "reference.bin").read_bytes()
     assert json.loads(header.read_text())["shape"] == list(reference.shape)
     assert fmap.shape == reference.shape
@@ -474,28 +496,161 @@ def test_feature_map_save_of_a_grid_larger_than_the_write_buffer(tmp_path):
     features[:3] = [[0.0], [-0.0], [0.0]]
     reference = _dense_reference_map(features, coords, (50, 60, 64))
     assert reference.nbytes > gridding.SAVE_BUFFER_BYTES
-    blob, _ = scatter_to_grid(features, coords, spec).save(tmp_path / "map")
+    blob, _ = scatter_to_grid(features, coords, spec).save(tmp_path / "map", dense=True)
     assert blob.read_bytes() == reference.tobytes()
 
 
-def test_feature_map_dense_constructor_keeps_zero_cells_bitwise(tmp_path):
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_feature_map_dense_constructor_keeps_zero_cells_bitwise(tmp_path, dense):
     values = np.zeros((3, 4, 2))
     values[1, 2] = -0.0
     values[2, 3] = [1.5, -0.0]
     fmap = FeatureMap(values)
     assert fmap.cells.size == 12  # no cell is dropped for being zero
-    FeatureMap(np.ones((5, 4, 2))).save(tmp_path / "map")  # a longer blob to overwrite
-    fmap.save(tmp_path / "map")
+    FeatureMap(np.ones((5, 4, 2))).save(tmp_path / "map", dense)  # a longer blob to overwrite
+    fmap.save(tmp_path / "map", dense)
     back = FeatureMap.load(tmp_path / "map")
     assert back.values.tobytes() == values.tobytes()
     assert not back.values.flags.writeable
 
 
-def test_feature_map_save_that_fails_leaves_no_header(tmp_path):
-    FeatureMap(np.ones((2, 3, 4))).save(tmp_path / "map")
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_feature_map_save_that_fails_leaves_no_header(tmp_path, dense):
+    FeatureMap(np.ones((2, 3, 4))).save(tmp_path / "map", dense)
     (tmp_path / "map.bin").unlink()
     (tmp_path / "map.bin").mkdir()  # the blob cannot be written
     with pytest.raises(OSError):
-        FeatureMap(np.zeros((2, 3, 4))).save(tmp_path / "map")
+        FeatureMap(np.zeros((2, 3, 4))).save(tmp_path / "map", dense)
     assert not (tmp_path / "map.json").exists()  # so no stale header vouches for the blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_feature_map_sparse_roundtrip_is_bitwise(data, tmp_path_factory):
+    grid = tuple(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=3)))  # pillar, voxel
+    channels = data.draw(st.integers(1, 4))
+    total = int(np.prod(grid))
+    flat = np.array(data.draw(st.lists(st.integers(0, total - 1), unique=True, max_size=total)),
+                    dtype=np.int64)  # K = 0 included
+    cells = np.sort(flat)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((cells.size, channels))
+    for row, kind in enumerate(data.draw(st.lists(_ROW_KINDS, min_size=cells.size,
+                                                  max_size=cells.size))):
+        if kind != "random":
+            features[row] = -0.0 if kind == "negative-zero" else 0.0
+    fmap = FeatureMap.from_cells(features, cells, grid + (channels,))
+    out = tmp_path_factory.mktemp("map")
+    blob, header = fmap.save(out / "map")
+    assert json.loads(header.read_text())["num_cells"] == cells.size
+    assert blob.stat().st_size == 8 * cells.size * (len(grid) + channels)
+    back = FeatureMap.load(out / "map")
+    assert back.shape == fmap.shape
+    assert back.cells.dtype == np.int64 and back.cells.tobytes() == cells.tobytes()
+    assert back.features.dtype == np.float64 and back.features.tobytes() == features.tobytes()
+    # the same map read from the dense file reads back the same everywhere
+    fmap.save(out / "dense", dense=True)
+    dense = FeatureMap.load(out / "dense")
+    assert dense.values.tobytes() == back.values.tobytes()
+    probe = np.stack(np.unravel_index(np.arange(total), grid), axis=1)
+    assert dense.gather(probe).tobytes() == back.gather(probe).tobytes()
+
+
+def test_feature_map_loads_a_dense_file_from_before_the_layout_key(tmp_path):
+    grid = np.zeros((3, 4, 2))
+    grid[1, 2] = [2.5, -0.0]
+    grid.tofile(tmp_path / "old.bin")
+    (tmp_path / "old.json").write_text(
+        json.dumps({"shape": [3, 4, 2], "dtype": "f64", "order": "row-major"}, indent=2)
+    )
+    fmap = FeatureMap.load(tmp_path / "old")
+    assert fmap.values.tobytes() == grid.tobytes()
+    assert fmap.gather([[1, 2], [0, 0]]).tobytes() == grid[[1, 0], [2, 0]].tobytes()
+
+
+def _sparse_file(tmp_path):
+    """A 3-cell sparse map on a (4, 5) grid with 2 channels; returns its stem."""
+    coords = np.array([[0, 1], [2, 0], [3, 4]])
+    fmap = FeatureMap.from_cells(np.arange(6.0).reshape(3, 2),
+                                 np.ravel_multi_index(tuple(coords.T), (4, 5)), (4, 5, 2))
+    fmap.save(tmp_path / "map")
+    return tmp_path / "map"
+
+
+def _rewrite_coords(coords):
+    def corrupt(stem):
+        blob = stem.with_suffix(".bin")
+        data = np.fromfile(blob, dtype=np.int64)
+        data[:6] = np.asarray(coords).ravel()
+        data.tofile(blob)
+
+    return corrupt
+
+
+def _rewrite_header(**changes):
+    def corrupt(stem):
+        header = stem.with_suffix(".json")
+        header.write_text(json.dumps({**json.loads(header.read_text()), **changes}))
+
+    return corrupt
+
+
+def _resize_blob(delta):
+    def corrupt(stem):
+        blob = stem.with_suffix(".bin")
+        raw = blob.read_bytes()
+        blob.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+
+    return corrupt
+
+
+# faults caught from the header and the blob's size alone; the rest need the coords
+_SIZE_FAULTS = [
+    pytest.param(_resize_blob(-1), id="truncated"),
+    pytest.param(_resize_blob(-8), id="truncated-whole-value"),
+    pytest.param(_resize_blob(48), id="over-long"),
+    pytest.param(_rewrite_header(num_cells=-3), id="num-cells-negative"),
+    pytest.param(_rewrite_header(num_cells=4), id="num-cells-mismatch"),
+    pytest.param(_rewrite_header(num_cells=2**62), id="num-cells-huge"),
+    pytest.param(_rewrite_header(num_cells="3"), id="num-cells-string"),
+    pytest.param(_rewrite_header(num_cells=True), id="num-cells-bool"),
+    pytest.param(_rewrite_header(num_cells=None), id="num-cells-null"),
+    pytest.param(_rewrite_header(layout="csr"), id="unknown-layout"),
+    pytest.param(_rewrite_header(shape=[4, 5]), id="shape-one-channel-short"),
+    pytest.param(_rewrite_header(shape=[2]), id="shape-without-grid"),
+    pytest.param(_rewrite_header(shape=[2**40, 2**40, 2]), id="grid-too-large"),
+]
+
+
+@pytest.mark.parametrize("corrupt", _SIZE_FAULTS)
+def test_malformed_sparse_header_or_size_is_refused_before_reading(tmp_path, monkeypatch,
+                                                                   corrupt):
+    stem = _sparse_file(tmp_path)
+    corrupt(stem)
+
+    def read(*args, **kwargs):
+        raise AssertionError("the blob was read")
+
+    monkeypatch.setattr(np, "fromfile", read)
+    with pytest.raises(FileFormatError):
+        FeatureMap.load(stem)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        pytest.param([[0, 1], [2, 0], [4, 4]], id="row-out-of-range"),
+        pytest.param([[0, 1], [2, 5], [3, 4]], id="column-out-of-range"),
+        pytest.param([[-1, 1], [2, 0], [3, 4]], id="negative"),
+        pytest.param([[2, 0], [0, 1], [3, 4]], id="unsorted"),
+        pytest.param([[0, 1], [0, 1], [3, 4]], id="duplicated"),
+    ],
+)
+def test_malformed_sparse_coords_are_refused(tmp_path, coords):
+    stem = _sparse_file(tmp_path)
+    _rewrite_coords(coords)(stem)
+    with pytest.raises(FileFormatError):
+        FeatureMap.load(stem)
+    _rewrite_coords([[0, 1], [2, 0], [3, 4]])(stem)  # the intact file loads
+    assert FeatureMap.load(stem).gather([[2, 0]]).tolist() == [[2.0, 3.0]]
 

@@ -17,6 +17,7 @@ from pillarkit import (
 from pillarkit.toy import (
     _init_model,
     evaluate,
+    grad_norms,
     load_checkpoint,
     quantile_spread_scores,
     save_checkpoint,
@@ -119,6 +120,33 @@ def test_weight_readout_leaves_max_pool_unless_frozen(mode):
     assert [r.step for r in moved] == [30, 60]  # read at eval steps only
     assert all(r.agg_last_row_mass < 1.0 for r in moved)
     assert 0.0 < moved[0].agg_distance_from_max_pool < moved[1].agg_distance_from_max_pool
+
+
+@pytest.mark.parametrize(
+    ("overrides", "groups"),
+    [
+        ({"mlp_widths": (6,)}, {"mlp", "agg", "head"}),
+        ({"mlp_widths": (6,), "freeze_agg": True}, {"mlp", "head"}),
+        ({"kind": "max"}, {"head"}),
+    ],
+)
+def test_eval_records_carry_step_time_and_group_gradient_norms(overrides, groups):
+    dataset = build_toy_dataset(quick_spec())
+    metrics, _, _ = train_descriptor(dataset, quick_config(steps=50, **overrides))
+    assert [r.step for r in metrics.records] == [30, 50]  # read at eval steps only
+    for record in metrics.records:
+        assert np.isfinite(record.step_s) and record.step_s > 0.0
+        assert set(record.grad_norm) == groups
+        assert all(np.isfinite(v) and v > 0.0 for v in record.grad_norm.values())
+    # the per-step mean covers only the steps since the previous record
+    assert metrics.records[1].step_s * 20 < metrics.wall_clock_s
+
+
+def test_grad_norms_pool_each_group():
+    grads = {"mlp.0.weight": np.full((2, 2), 1.0), "mlp.0.bias": np.array([2.0, 2.0]),
+             "agg": np.array([3.0, 4.0]), "head.weight": np.array([0.0]),
+             "head.bias": np.array([-2.0])}
+    assert grad_norms(grads) == {"mlp": np.sqrt(12.0), "agg": 5.0, "head": 2.0}
 
 
 def test_loss_decreases_over_five_seeds():
