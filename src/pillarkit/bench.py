@@ -9,6 +9,8 @@ dominates, which is the regime the overhead comparison is about.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import time
 from dataclasses import dataclass
 
@@ -19,10 +21,12 @@ from .documents import Document, Seed
 from .errors import ValidationError
 from .gridding import cell_batch_from_arrays
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
+# (setter, getter) of the BLAS thread count: the symbols of numpy's bundled
+# scipy-openblas build, then those of a plain OpenBLAS
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 @dataclass
@@ -75,6 +79,48 @@ def _measure_interleaved(
     }
 
 
+def _openblas_thread_calls():
+    """(set, get) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    The library is found among the files mapped into this process, so no
+    package beyond numpy is needed; with another BLAS, or no ``/proc``, there
+    is none.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Pin OpenBLAS to one thread, restoring its count after; yields whether the pin took."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    set_threads, get_threads = calls
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield get_threads() == 1
+    finally:
+        set_threads(previous)
+
+
 def bench_descriptor(config: BenchConfig | None = None) -> dict:
     """Run the full-stage and aggregation-stage benchmarks; returns the report.
 
@@ -83,18 +129,16 @@ def bench_descriptor(config: BenchConfig | None = None) -> dict:
     N together with a monotone-growth verdict.
     """
     config = config or BenchConfig()
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            return _bench_inner(config)
-    return _bench_inner(config)
+    with _single_blas_thread() as pinned:
+        return _bench_inner(config, pinned)
 
 
-def _bench_inner(config: BenchConfig) -> dict:
+def _bench_inner(config: BenchConfig, pinned: bool) -> dict:
     rng = np.random.default_rng(config.seed)
     report: dict = {
         "config": config.to_doc(),
-        # pinning needs threadpoolctl; without it the BLAS thread count is left as is
-        "thread_pinning_applied": threadpool_limits is not None,
+        # without an OpenBLAS to pin, the BLAS thread count is left as is
+        "thread_pinning_applied": pinned,
         "outputs_stable": True,
     }
 

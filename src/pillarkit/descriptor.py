@@ -140,10 +140,6 @@ class AggregationWeights:
         if not np.isfinite(self.values).all():
             raise ValidationError("aggregation weights must be finite")
 
-    @property
-    def num_rows(self) -> int:
-        return self.values.shape[0]
-
     @classmethod
     def max_pool_init(
         cls,

@@ -114,13 +114,14 @@ class GridSpec(Document):
 
     @classmethod
     def kitti_voxel_defaults(cls, **overrides) -> "GridSpec":
-        """0.05 m x 0.05 m x 0.1 m voxels, 5 points per voxel."""
+        """0.05 m x 0.05 m x 0.1 m voxels, 5 points per voxel, at most 40,000 voxels."""
         base = dict(
             mode="voxel",
             range_min=(0.0, -40.0, -3.0),
             range_max=(70.4, 40.0, 1.0),
             cell_size=(0.05, 0.05, 0.1),
             capacity=5,
+            max_cells=40000,
         )
         base.update(overrides)
         return cls(**base)
@@ -152,15 +153,21 @@ class CellBatch:
     points it did not keep, by reason (all zero for a batch built otherwise).
     The constructor takes the dense slot layout instead, (K, capacity, C)
     ``data`` whose slots at index >= ``valid_count[k]`` are ignored, and
-    gathers its occupied rows (a reshape when every cell is full). ``data``
+    gathers its occupied rows (a reshape when every cell is full); it raises
+    ValidationError unless ``data`` is 3-D and ``valid_count`` (K,) with
+    entries in [1, capacity]. ``data``
     reads the dense layout back: a read-only array, built on each access,
     with every padding slot exactly zero.
     """
 
     def __init__(self, data, valid_count, cell_coords=None, spec=None, channel_names=()):
         data = np.asarray(data, dtype=np.float64)
-        valid_count = np.asarray(valid_count, dtype=np.int64)
+        if data.ndim != 3:
+            raise ValidationError(f"cell data must be (K, N, C), got shape {data.shape}")
         k, n, c = data.shape
+        valid_count = np.asarray(valid_count, dtype=np.int64)
+        if valid_count.shape != (k,) or (valid_count < 1).any() or (valid_count > n).any():
+            raise ValidationError("valid_count must be (K,) with entries in [1, N]")
         rows = data.reshape(k * n, c)
         if not (valid_count == n).all():
             rows = np.take(rows, np.flatnonzero(_occupied(valid_count, n)), axis=0)
@@ -208,15 +215,8 @@ def cell_batch_from_arrays(
     cells become rows by a reshape.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValidationError(f"cell data must be (K, N, C), got shape {data.shape}")
-    k, n, _ = data.shape
-    if valid_count is None:
-        valid_count = np.full(k, n, dtype=np.int64)
-    else:
-        valid_count = np.asarray(valid_count, dtype=np.int64)
-        if valid_count.shape != (k,) or (valid_count < 1).any() or (valid_count > n).any():
-            raise ValidationError("valid_count must be (K,) with entries in [1, N]")
+    if valid_count is None and data.ndim == 3:  # other shapes are refused by CellBatch
+        valid_count = np.full(data.shape[0], data.shape[1], dtype=np.int64)
     return CellBatch(data, valid_count)
 
 
@@ -319,9 +319,6 @@ def _decorated_names(raw_names: tuple[str, ...], spec: GridSpec) -> tuple[str, .
     return raw_names + DECORATION_CHANNELS if spec.decorate else raw_names
 
 
-SAVE_BUFFER_BYTES = 1 << 20  # FeatureMap.save writes the dense blob through a buffer this size
-
-
 class FeatureMap:
     """Per-cell feature grid, (ny, nx, C) or (nz, ny, nx, C) float64, stored cell-major.
 
@@ -356,23 +353,30 @@ class FeatureMap:
     def num_channels(self) -> int:
         return self.shape[-1]
 
-    def _require_dense_memory(self) -> None:
-        require_memory(8 * math.prod(self.shape), f"dense feature grid {self.shape}",
-                       "shrink the ranges or keep the map sparse")
-
     @property
     def values(self) -> np.ndarray:
         """The dense grid, zero where no cell is stored; built on each access."""
-        self._require_dense_memory()
+        require_memory(8 * math.prod(self.shape), f"dense feature grid {self.shape}",
+                       "shrink the ranges or keep the map sparse")
         out = np.zeros(self.shape)
         out.reshape(math.prod(self.shape[:-1]), self.num_channels)[self.cells] = self.features
         out.flags.writeable = False
         return out
 
     def gather(self, coords: np.ndarray) -> np.ndarray:
-        """Read back the per-cell features at integer map coordinates, zero where none is stored."""
+        """Read back the per-cell features at integer map coordinates, zero where none is stored.
+
+        ``coords`` is one (D,) coordinate or an (M, D) array of them; another
+        shape or a coordinate outside the grid raises ValidationError.
+        """
         coords = np.asarray(coords, dtype=np.int64)
-        flat = np.ravel_multi_index(tuple(coords.T), self.shape[:-1])
+        grid = self.shape[:-1]
+        if coords.ndim not in (1, 2) or coords.shape[-1] != len(grid):
+            raise ValidationError(f"coords must be (D,) or (M, D) with D = {len(grid)}, got shape "
+                                  f"{coords.shape}")
+        if ((coords < 0) | (coords >= np.asarray(grid, dtype=np.int64))).any():
+            raise ValidationError(f"coords outside the grid {grid}")
+        flat = np.ravel_multi_index(tuple(coords.T), grid)
         wanted = np.ravel(flat)
         pos = np.searchsorted(self.cells, wanted)
         hit = pos < self.cells.size
@@ -386,18 +390,21 @@ class FeatureMap:
 
         The sparse blob holds the stored cells' int64 map coordinates (K, D)
         followed by their float64 features (K, C), both in ``cells`` order.
-        With ``dense`` it is the dense grid's row-major bytes, written one
-        block of cells at a time through one zero-filled buffer of
-        ``SAVE_BUFFER_BYTES``; a grid that would outgrow physical memory is
-        refused with ValidationError before any file is touched.
+        With ``dense`` it is the row-major bytes of :attr:`values`, so the
+        whole grid is held in memory while it is written; a grid that would
+        outgrow physical memory is refused with ValidationError before any
+        file is touched.
         """
         stem = Path(stem)
         blob = stem.with_suffix(".bin")
         header = stem.with_suffix(".json")
         if dense:
-            self._require_dense_memory()
+            arrays = [self.values]
             meta = {"shape": list(self.shape), "dtype": "f64", "order": "row-major"}
         else:
+            coords = np.stack(np.unravel_index(self.cells, self.shape[:-1]), axis=1)
+            arrays = [np.ascontiguousarray(coords, dtype=np.int64),
+                      np.ascontiguousarray(self.features, dtype=np.float64)]
             meta = {"shape": list(self.shape), "dtype": "f64", "layout": "sparse",
                     "num_cells": int(self.cells.size)}
         # an existing blob is overwritten in place and cut to length after:
@@ -406,28 +413,11 @@ class FeatureMap:
         # The header goes last, so a save that fails midway leaves none.
         header.unlink(missing_ok=True)
         with open(os.open(blob, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-            if dense:
-                self._write_dense(handle)
-            else:
-                coords = np.stack(np.unravel_index(self.cells, self.shape[:-1]), axis=1)
-                handle.write(np.ascontiguousarray(coords, dtype=np.int64))
-                handle.write(np.ascontiguousarray(self.features, dtype=np.float64))
+            for array in arrays:
+                handle.write(array)
             handle.truncate()
         header.write_text(json.dumps(meta, indent=2))
         return blob, header
-
-    def _write_dense(self, handle) -> None:
-        total = math.prod(self.shape[:-1])
-        block = max(1, SAVE_BUFFER_BYTES // (8 * max(self.num_channels, 1)))
-        buffer = np.zeros((block, self.num_channels))
-        starts = np.arange(0, total + block, block)
-        bounds = np.searchsorted(self.cells, starts)
-        for i, start in enumerate(starts[:-1]):
-            lo, hi = bounds[i], bounds[i + 1]
-            rows = self.cells[lo:hi] - start
-            buffer[rows] = self.features[lo:hi]
-            handle.write(buffer[: min(block, total - start)])
-            buffer[rows] = 0.0
 
     @classmethod
     def load(cls, stem: str | Path) -> "FeatureMap":

@@ -28,7 +28,22 @@ def test_report_structure(tiny_report):
     assert tiny_report["full_overhead_ratio"] > 0
     assert [e["n_points"] for e in tiny_report["aggregation_scaling"]] == [4, 16]
     assert "aggregation_ratio_monotone" in tiny_report
-    assert tiny_report["thread_pinning_applied"] == (bench.threadpool_limits is not None)
+    assert tiny_report["thread_pinning_applied"] == (bench._openblas_thread_calls() is not None)
+
+
+def test_single_blas_thread_pins_and_restores_the_thread_count():
+    calls = bench._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy did not load an OpenBLAS")
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(2)
+    try:
+        with bench._single_blas_thread() as pinned:
+            assert pinned and get_threads() == 1
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 def test_benchmark_never_perturbs_results(tiny_report):

@@ -7,6 +7,7 @@ import pytest
 from pillarkit import (
     AggregationWeights,
     FeatureMap,
+    GridSpec,
     MlpParams,
     PointCloud,
     cell_batch_from_arrays,
@@ -322,6 +323,24 @@ def test_featurize_voxel_defaults_write_a_sparse_map(tmp_path, scan_file, monkey
     assert summary["map_bytes"] == 8 * summary["num_cells"] * (3 + 64)
     fmap = FeatureMap.load(out / "featuremap")
     assert fmap.features.shape == (summary["num_cells"], 64)
+
+
+def test_featurize_voxel_defaults_keep_more_than_12000_occupied_voxels(tmp_path):
+    # one point at the centre of each of 13,000 distinct default voxels: more
+    # than the pillar default max_cells, fewer than the voxel default's 40,000
+    spec = GridSpec.kitti_voxel_defaults()
+    rng = np.random.default_rng(11)
+    flat = rng.choice(int(np.prod(spec.grid_shape)), size=13000, replace=False)
+    iz, iy, ix = np.unravel_index(flat, spec.grid_shape)
+    xyz = np.column_stack([ix, iy, iz]) + 0.5
+    xyz = np.asarray(spec.range_min) + xyz * np.asarray(spec.cell_size)
+    scan = tmp_path / "scan.bin"
+    write_kitti_bin(PointCloud(np.column_stack([xyz, np.zeros(len(xyz))])), scan)
+    out = tmp_path / "out"
+    assert main(["featurize", "--input", str(scan), "--mode", "voxel", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["num_cells"] == summary["points_kept"] == 13000
+    assert summary["points_in_dropped_cells"] == 0
 
 
 def test_featurize_sparse_and_dense_maps_hold_the_same_grid(tmp_path, small_grid_config,

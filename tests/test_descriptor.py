@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pillarkit import (
     AggregationWeights,
+    CellBatch,
     MlpLayer,
     MlpParams,
     ValidationError,
@@ -302,9 +303,11 @@ def test_descriptor_empty_batch_returns_empty_features():
 
 
 def test_descriptor_rejects_fill_counts_outside_capacity():
-    batch = cell_batch_from_arrays(np.ones((2, 3, 2)))
     for bad in ([0, 3], [4, 3]):
-        broken = type(batch)(batch.data, np.array(bad), batch.cell_coords, batch.spec)
+        with pytest.raises(ValidationError):
+            CellBatch(np.ones((2, 3, 2)), np.array(bad))
+        # from_rows trusts its caller, so the descriptor checks the counts itself
+        broken = CellBatch.from_rows(np.ones((sum(bad), 2)), np.array(bad), 3)
         with pytest.raises(ValidationError):
             descriptor_forward(MlpParams([]), None, broken, "max")
 

@@ -271,6 +271,15 @@ def test_dense_grid_larger_than_physical_memory_is_refused_before_allocating(
         fmap.values
 
 
+@pytest.mark.parametrize("coords", [[[0, 0, 0]], [[0]], [[3, 0]], [[0, 4]], [[-1, 0]],
+                                    [[[0, 0]]]],
+                         ids=["too-wide", "too-narrow", "past-y", "past-x", "negative", "3-D"])
+def test_feature_map_gather_refuses_bad_coords(coords):
+    fmap = FeatureMap(np.ones((3, 4, 2)))
+    with pytest.raises(ValidationError, match="coords"):
+        fmap.gather(coords)
+
+
 def test_feature_map_load_rejects_blob_not_matching_header(tmp_path):
     FeatureMap(np.zeros((2, 3, 4))).save(tmp_path / "map", dense=True)
     blob = tmp_path / "map.bin"
@@ -332,6 +341,15 @@ def test_cell_batch_from_arrays_masks_and_validates():
         cell_batch_from_arrays(data, np.array([0, 3]))  # below 1
     with pytest.raises(ValidationError):
         cell_batch_from_arrays(np.ones((2, 3)))  # not 3-D
+
+
+def test_cell_batch_constructor_refuses_bad_slots_or_counts():
+    with pytest.raises(ValidationError, match="cell data must be"):
+        CellBatch(np.zeros((2, 3)), [1, 1])  # not 3-D
+    with pytest.raises(ValidationError, match="valid_count"):
+        CellBatch(np.ones((2, 3, 4)), [5, 1])  # 5 rows claimed of a 3-slot cell
+    with pytest.raises(ValidationError, match="valid_count"):
+        CellBatch(np.ones((2, 3, 4)), [3])  # one count for two cells
 
 
 def _dense_reference_batch(cloud, spec):
@@ -468,16 +486,12 @@ def test_feature_map_save_matches_dense_writer(data, tmp_path_factory):
                                                   max_size=len(flat)))):
         if kind != "random":
             features[row] = -0.0 if kind == "negative-zero" else 0.0
-    # one cell of 8 bytes per write up to the default 1 MiB, which holds every grid here
-    buffer_bytes = data.draw(st.sampled_from([8, 24, 8 * channels * 5, gridding.SAVE_BUFFER_BYTES]))
 
     reference = _dense_reference_map(features, coords, grid + (channels,))
     out = tmp_path_factory.mktemp("map")
     reference.tofile(out / "reference.bin")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gridding, "SAVE_BUFFER_BYTES", buffer_bytes)
-        fmap = scatter_to_grid(features, coords, spec)
-        blob, header = fmap.save(out / "map", dense=True)
+    fmap = scatter_to_grid(features, coords, spec)
+    blob, header = fmap.save(out / "map", dense=True)
     assert blob.read_bytes() == (out / "reference.bin").read_bytes()
     assert json.loads(header.read_text())["shape"] == list(reference.shape)
     assert fmap.shape == reference.shape
@@ -485,19 +499,6 @@ def test_feature_map_save_matches_dense_writer(data, tmp_path_factory):
     probe = np.stack(np.unravel_index(np.arange(total), grid), axis=1)  # stored and empty cells
     assert fmap.gather(probe).tobytes() == reference.reshape(total, channels).tobytes()
     assert fmap.gather(coords).tobytes() == features.tobytes()
-
-
-def test_feature_map_save_of_a_grid_larger_than_the_write_buffer(tmp_path):
-    spec = small_pillar_spec(range_max=(60.0, 50.0, 1.0))
-    rng = np.random.default_rng(8)
-    flat = rng.choice(50 * 60, size=300, replace=False)  # random order
-    coords = np.stack(np.unravel_index(flat, (50, 60)), axis=1)
-    features = rng.standard_normal((300, 64))
-    features[:3] = [[0.0], [-0.0], [0.0]]
-    reference = _dense_reference_map(features, coords, (50, 60, 64))
-    assert reference.nbytes > gridding.SAVE_BUFFER_BYTES
-    blob, _ = scatter_to_grid(features, coords, spec).save(tmp_path / "map", dense=True)
-    assert blob.read_bytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
