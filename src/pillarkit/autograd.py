@@ -24,8 +24,6 @@ from .descriptor import (
     MlpLayer,
     MlpParams,
     _array_from_doc,
-    _embed,
-    _fill_major,
     descriptor_forward,
 )
 from .documents import Document
@@ -228,18 +226,19 @@ def is_tie_free(
     pins those slots dead, so they stay at zero under the nudge and carry no
     gradient either way.
     """
-    groups, rows = _fill_major(batch)
-    embedded, _, preacts = _embed(params, rows, need_cache=True)
+    _, cache = descriptor_forward(params, None, batch, kind="max")
+    if cache is None:  # no cells
+        return True
     slack = margin * step
     final_relu = bool(params.layers) and params.layers[-1].activation == "relu"
-    for group in groups:
-        vals = np.sort(group.block(embedded), axis=1)
+    for group in cache.groups:
+        vals = np.sort(group.block(cache.embedded), axis=1)
         tied = np.diff(vals, axis=1) < slack
         if final_relu:
             tied &= ~((vals[:, :-1] == 0.0) & (vals[:, 1:] == 0.0))
         if tied.any():
             return False
-    for layer, z in zip(params.layers, preacts):
+    for layer, z in zip(params.layers, cache.layer_preacts):
         if layer.activation == "relu" and (np.abs(z) < slack).any():
             return False
     return True

@@ -107,18 +107,36 @@ def _openblas_thread_calls():
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Pin OpenBLAS to one thread, restoring its count after; yields whether the pin took."""
+    """Pin OpenBLAS to one thread, restoring its count after.
+
+    Yields the thread count read back inside the pin, or None without an
+    OpenBLAS to pin.
+    """
     calls = _openblas_thread_calls()
     if calls is None:
-        yield False
+        yield None
         return
     set_threads, get_threads = calls
     previous = get_threads()
     set_threads(1)
     try:
-        yield get_threads() == 1
+        yield get_threads()
     finally:
         set_threads(previous)
+
+
+def _environment(blas_threads: int | None) -> dict:
+    """What the timings ran on: numpy, its BLAS, and the BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": blas_threads,
+    }
 
 
 def bench_descriptor(config: BenchConfig | None = None) -> dict:
@@ -126,19 +144,23 @@ def bench_descriptor(config: BenchConfig | None = None) -> dict:
 
     The report carries per-kind median/p90 latencies, the weighted/max
     overhead ratio of the full descriptor, and the aggregation-stage ratio per
-    N together with a monotone-growth verdict.
+    N together with a monotone-growth verdict. Its ``environment`` names the
+    numpy version, the BLAS name and version (None where numpy cannot report
+    them) and the BLAS thread count read back inside the pin (None without an
+    OpenBLAS).
     """
     config = config or BenchConfig()
-    with _single_blas_thread() as pinned:
-        return _bench_inner(config, pinned)
+    with _single_blas_thread() as threads:
+        return _bench_inner(config, threads)
 
 
-def _bench_inner(config: BenchConfig, pinned: bool) -> dict:
+def _bench_inner(config: BenchConfig, threads: int | None) -> dict:
     rng = np.random.default_rng(config.seed)
     report: dict = {
         "config": config.to_doc(),
+        "environment": _environment(threads),
         # without an OpenBLAS to pin, the BLAS thread count is left as is
-        "thread_pinning_applied": pinned,
+        "thread_pinning_applied": threads == 1,
         "outputs_stable": True,
     }
 

@@ -16,9 +16,14 @@ maximum of the real points regardless of fill level.
 Execution is ragged: the batched descriptor computes only the occupied slots.
 It lays the occupied rows out fill-major (cells ordered by fill level, batch
 order kept within a level), so each group of c-point cells is one contiguous
-block of rows, then embeds the rows and sorts and combines each group, where
-the padding rows of the dense sorted matrix would only add zero terms; a
-group of c-point cells uses the last c weight rows.
+block of rows, where the padding rows of the dense sorted matrix would only
+add zero terms; a group of c-point cells uses the last c weight rows. The
+groups are embedded one at a time, each sorted and combined while its
+embedding is still in cache, which pays off when a batch has many fill
+levels, as a LiDAR scan has (about 32). An inference forward so holds the
+fill-major input rows, the features and one group's arrays, never an
+embedding of every row; a training forward writes each group's arrays into
+its rows of the fill-major ones the backward reads.
 """
 
 from __future__ import annotations
@@ -201,43 +206,45 @@ def mlp_forward(params: MlpParams, cell: np.ndarray, valid_count: int) -> np.nda
     """
     cell = _as_slots(cell)
     _check_padding(cell, valid_count)
-    out, _, _ = _embed(params, cell[:valid_count], need_cache=False)
+    out = _embed(params, cell[:valid_count])
     return _to_slots(out, np.asarray([valid_count]), cell.shape[0])[0]
 
 
-def _rows_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``x @ weight`` with each row rounded as it is inside a larger batch.
+def _rows_matmul(x: np.ndarray, weight: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ weight``, into ``out`` if given, each row rounded as inside a larger batch.
 
     numpy hands a one-row product to BLAS gemv, which rounds differently from
     the gemm used for two or more rows, so a single row goes in twice.
     """
-    if x.shape[0] == 1:
-        return (np.concatenate([x, x]) @ weight)[:1]
-    return x @ weight
+    if x.shape[0] != 1:
+        return np.matmul(x, weight, out=out)
+    z = (np.concatenate([x, x]) @ weight)[:1]
+    if out is None:
+        return z
+    out[...] = z
+    return out
 
 
 def _embed(
-    params: MlpParams, x: np.ndarray, need_cache: bool
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The shared MLP over occupied rows (P, C_in). Returns (out, inputs, preacts).
+    params: MlpParams, x: np.ndarray, into: list[tuple[np.ndarray, np.ndarray]] | None = None
+) -> np.ndarray:
+    """The shared MLP over rows ``x`` (n, C_in); with no layers, ``x`` itself.
 
-    The bias and ReLU apply in place; a separate pre-activation array is kept
-    only when ``need_cache``. With no layers ``out`` is ``x`` itself.
+    The bias and ReLU apply in place. ``into`` holds, per layer, the
+    (pre-activation, output) arrays of (n, C_out) that keep what a backward
+    reads, one array twice for an identity layer; the embedding is then the
+    last output.
     """
     if params.layers and params.in_dim != x.shape[1]:
         raise ValidationError(
             f"MLP expects {params.in_dim} input channels, cell has {x.shape[1]}"
         )
-    inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    for layer in params.layers:
-        z = _rows_matmul(x, layer.weight)
+    for i, layer in enumerate(params.layers):
+        pre, out = (None, None) if into is None else into[i]
+        z = _rows_matmul(x, layer.weight, out=pre)
         z += layer.bias
-        if need_cache:
-            inputs.append(x)
-            preacts.append(z)
-        x = np.maximum(z, 0.0, out=None if need_cache else z) if layer.activation == "relu" else z
-    return x, inputs, preacts
+        x = np.maximum(z, 0.0, out=z if out is None else out) if layer.activation == "relu" else z
+    return x
 
 
 @dataclass
@@ -260,10 +267,14 @@ class FillGroup:
     values: np.ndarray | None = None
     src: np.ndarray | None = None
 
+    @property
+    def span(self) -> slice:
+        """This group's fill-major rows."""
+        return slice(self.start, self.start + self.cells.size * self.count)
+
     def block(self, rows: np.ndarray) -> np.ndarray:
         """This group's view of fill-major ``rows``: (k_c, count) plus the trailing axes."""
-        k, c = self.cells.size, self.count
-        return rows[self.start : self.start + k * c].reshape(k, c, *rows.shape[1:])
+        return rows[self.span].reshape(self.cells.size, self.count, *rows.shape[1:])
 
 
 def _fill_major(batch: CellBatch) -> tuple[list[FillGroup], np.ndarray]:
@@ -454,9 +465,12 @@ class ForwardCache:
 
     Arrays with a leading P axis hold the P occupied slots of the batch in
     fill-major order: fill group after fill group, each group's cells in
-    batch order, each cell's rows in slot order. The groups carry their
-    sorted blocks, and their flat source indices exactly when the backward
-    routes through them: an MLP with layers and the weighted or max kind.
+    batch order, each cell's rows in slot order. The forward embeds one group
+    at a time and writes its layer inputs, pre-activations and embedding into
+    that group's rows; only a forward that keeps a cache makes these arrays.
+    The groups carry their sorted blocks, and their flat source indices
+    exactly when the backward routes through them: an MLP with layers and the
+    weighted or max kind.
     """
 
     kind: str
@@ -494,12 +508,13 @@ def descriptor_forward(
     """Run the full descriptor over every cell of a batch.
 
     Returns (features, cache) where features is (K, C). Only occupied slots
-    are computed: the MLP runs on the P occupied rows, laid out fill-major,
-    and cells are sorted and combined in groups of equal fill level c, each
-    with the weights of the last c sorted rows. The cache carries the
-    embeddings and sorted blocks needed for the backward pass, plus each
-    group's flat source index when the backward routes gradients through it;
-    pass ``need_cache=False`` on inference-only paths to skip it.
+    are computed: the P occupied rows are laid out fill-major, and each group
+    of cells of equal fill level c is embedded, sorted and combined with the
+    weights of the last c sorted rows before the next group. The cache
+    carries the embeddings and sorted blocks needed for the backward pass,
+    plus each group's flat source index when the backward routes gradients
+    through it; pass ``need_cache=False`` on inference-only paths to skip it,
+    and with it every array of one row per point.
     """
     if kind not in DESCRIPTOR_KINDS:
         raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
@@ -516,29 +531,40 @@ def descriptor_forward(
         _check_agg_shapes(weights, n, c_out)
 
     groups, rows = _fill_major(batch)
-    embedded, layer_inputs, layer_preacts = _embed(params, rows, need_cache=need_cache)
-    # turns -0.0 into +0.0 so ties are bit-identical; in place unless the
-    # identity embedding passed the batch's own rows through (an identity last
-    # layer's cached pre-activation shares the array, and no gradient reads it)
-    embedded = embedded + 0.0 if embedded is batch.rows else np.add(embedded, 0.0, out=embedded)
+    # a training forward keeps each layer's pre-activation and output in
+    # fill-major (P, ·) arrays, the last output being the embedding; an
+    # identity layer's output is its pre-activation array (for the last layer
+    # the canonicalization below rewrites it, and no gradient reads it)
+    preacts = outputs = embedded = None
+    if need_cache:
+        preacts = [np.empty((rows.shape[0], layer.bias.size)) for layer in params.layers]
+        outputs = [z if layer.activation == "identity" else np.empty_like(z)
+                   for layer, z in zip(params.layers, preacts)]
+        embedded = outputs[-1] if outputs else np.empty_like(rows)
 
     # the backward routes sorted-row gradients to their rows only to feed MLP
     # layers, and the mean spreads them evenly without a permutation
     need_perm = need_cache and bool(params.layers) and kind != "mean"
     features = np.empty((k, c_out))
     for group in groups:
-        c = group.count
-        block = group.block(embedded)
+        c, span = group.count, group.span
+        into = [(z[span], y[span]) for z, y in zip(preacts, outputs)] if need_cache else None
+        x = _embed(params, rows[span], into)
+        # turns -0.0 into +0.0 so ties are bit-identical: into the cache, or in
+        # place unless the identity embedding passed the batch's own rows through
+        x = np.add(x, 0.0, out=embedded[span] if need_cache else x if params.layers else None)
+        block = x.reshape(group.cells.size, c, c_out)
         if need_perm:
             group.src = _source_index(group, embedded, kind)
         if kind == "max":
             features[group.cells] = block.max(axis=1)
-            continue
-        group.values = embedded.ravel().take(group.src) if need_perm else _sort_values(block)
-        w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
-        features[group.cells] = _combine(w_rows, group.values)
-        if not need_cache:
-            group.values = None
+        else:
+            values = embedded.ravel().take(group.src) if need_perm else _sort_values(block)
+            w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
+            features[group.cells] = _combine(w_rows, values)
+            if need_cache:
+                group.values = values
+        x = block = values = None  # free this group's arrays before the next one's are made
 
     if not need_cache:
         return features, None
@@ -548,8 +574,9 @@ def descriptor_forward(
         weights=weights,
         valid_count=counts,
         capacity=n,
-        layer_inputs=layer_inputs,
-        layer_preacts=layer_preacts,
+        # one input per layer, so with no layers the cache does not hold the rows
+        layer_inputs=([rows] + outputs)[:-1],
+        layer_preacts=preacts,
         embedded=embedded,
         groups=groups,
     )

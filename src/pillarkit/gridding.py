@@ -127,6 +127,16 @@ class GridSpec(Document):
         return cls(**base)
 
 
+def _as_index(values, what: str) -> np.ndarray:
+    """``values`` as int64, refusing a fraction, NaN or infinity with ValidationError."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not (
+        np.isfinite(values) & (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
+    ).all():
+        raise ValidationError(f"{what} must be integers")
+    return values.astype(np.int64, copy=False)
+
+
 def _occupied(counts: np.ndarray, n: int) -> np.ndarray:
     """(K, N) mask of the occupied slots."""
     return np.arange(n)[None, :] < counts[:, None]
@@ -165,7 +175,7 @@ class CellBatch:
         if data.ndim != 3:
             raise ValidationError(f"cell data must be (K, N, C), got shape {data.shape}")
         k, n, c = data.shape
-        valid_count = np.asarray(valid_count, dtype=np.int64)
+        valid_count = _as_index(valid_count, "valid_count")
         if valid_count.shape != (k,) or (valid_count < 1).any() or (valid_count > n).any():
             raise ValidationError("valid_count must be (K,) with entries in [1, N]")
         rows = data.reshape(k * n, c)
@@ -369,7 +379,7 @@ class FeatureMap:
         ``coords`` is one (D,) coordinate or an (M, D) array of them; another
         shape or a coordinate outside the grid raises ValidationError.
         """
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = _as_index(coords, "coords")
         grid = self.shape[:-1]
         if coords.ndim not in (1, 2) or coords.shape[-1] != len(grid):
             raise ValidationError(f"coords must be (D,) or (M, D) with D = {len(grid)}, got shape "
@@ -490,7 +500,7 @@ def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) ->
     cell-major, so no grid is allocated here, whatever its size.
     """
     features = np.asarray(features, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = _as_index(coords, "coords")
     dims = spec.grid_shape
     if features.ndim != 2 or coords.ndim != 2 or features.shape[0] != coords.shape[0]:
         raise ValidationError("features must be (K, C) aligned with (K, D) coords")

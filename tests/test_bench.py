@@ -31,6 +31,16 @@ def test_report_structure(tiny_report):
     assert tiny_report["thread_pinning_applied"] == (bench._openblas_thread_calls() is not None)
 
 
+def test_report_names_its_environment(tiny_report):
+    env = tiny_report["environment"]
+    assert env.keys() == {"numpy", "blas", "blas_version", "blas_threads"}
+    assert env["numpy"] == np.__version__
+    assert all(env[key] is None or isinstance(env[key], str) for key in ("blas", "blas_version"))
+    # read back inside the pin, so one thread exactly where the pin took
+    assert (env["blas_threads"] == 1) == tiny_report["thread_pinning_applied"]
+    assert (env["blas_threads"] is None) == (bench._openblas_thread_calls() is None)
+
+
 def test_single_blas_thread_pins_and_restores_the_thread_count():
     calls = bench._openblas_thread_calls()
     if calls is None:
@@ -39,8 +49,8 @@ def test_single_blas_thread_pins_and_restores_the_thread_count():
     before = get_threads()
     set_threads(2)
     try:
-        with bench._single_blas_thread() as pinned:
-            assert pinned and get_threads() == 1
+        with bench._single_blas_thread() as threads:
+            assert threads == 1 and get_threads() == 1
         assert get_threads() == 2
     finally:
         set_threads(before)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -424,3 +426,25 @@ def test_one_point_embedding_rounds_as_inside_a_larger_batch():
         for kind, weights in kinds.items():
             one, _ = descriptor_forward(params, weights, single, kind, need_cache=False)
             assert one[0].tobytes() == full[kind][i].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
+def test_inference_forward_embeds_one_fill_group_at_a_time(kind):
+    # with many fill levels no group is more than a small share of the rows,
+    # so an inference forward never holds an embedding of every row
+    rng = np.random.default_rng(5)
+    n = 32
+    counts = rng.permutation(np.repeat(np.arange(1, n + 1), 125))  # 4,000 cells
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, n, 4)), counts)
+    params = MlpParams.create(4, (64,), seed=5)
+    weights = None
+    if kind == "weighted":
+        weights = AggregationWeights.max_pool_init(n, noise=0.1, seed=5)
+    one_embedding = batch.rows.shape[0] * params.out_dim * 8  # (P, C_out) float64
+    tracemalloc.start()
+    try:
+        descriptor_forward(params, weights, batch, kind, need_cache=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_embedding

@@ -11,7 +11,7 @@ sorted matrices and gradients bitwise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pillarkit import (
@@ -200,6 +200,9 @@ def _assert_matches_reference(params, weights, batch, kind, upstream):
         [("weighted", "shared"), ("weighted", "per-channel"), ("max", None), ("mean", None)]
     ),
 )
+# fills 5, 4, 3, 2, 2, 1: the one-point level is one cell, a group that embeds a single row
+@example(seed=0, n=5, k=6, fill="random", duplicates=False, depth=2,
+         kind_mode=("weighted", "shared"))
 def test_fill_major_matches_cell_major_reference(seed, n, k, fill, duplicates, depth, kind_mode):
     kind, mode = kind_mode
     rng = np.random.default_rng(seed)

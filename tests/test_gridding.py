@@ -216,6 +216,8 @@ def test_scatter_rejects_duplicates_and_out_of_range():
         scatter_to_grid(np.zeros((1, 1)), np.array([[0, 10]]), spec)
     with pytest.raises(ValidationError):
         scatter_to_grid(np.zeros((1, 1)), np.array([[-1, 0]]), spec)
+    with pytest.raises(ValidationError, match="coords must be integers"):
+        scatter_to_grid(np.zeros((1, 1)), np.array([[0.5, 0.0]]), spec)  # would truncate to (0, 0)
 
 
 def test_feature_map_save_load_roundtrip(tmp_path):
@@ -271,12 +273,18 @@ def test_dense_grid_larger_than_physical_memory_is_refused_before_allocating(
         fmap.values
 
 
-@pytest.mark.parametrize("coords", [[[0, 0, 0]], [[0]], [[3, 0]], [[0, 4]], [[-1, 0]],
-                                    [[[0, 0]]]],
-                         ids=["too-wide", "too-narrow", "past-y", "past-x", "negative", "3-D"])
-def test_feature_map_gather_refuses_bad_coords(coords):
+@pytest.mark.parametrize(
+    "coords, match",
+    [([[0, 0, 0]], "coords"), ([[0]], "coords"), ([[3, 0]], "coords"), ([[0, 4]], "coords"),
+     ([[-1, 0]], "coords"), ([[[0, 0]]], "coords"), ([[1.9, 2.7]], "coords must be integers"),
+     ([[1.0, np.nan]], "coords must be integers"), ([np.inf, 0.0], "coords must be integers"),
+     ([[0.0, -np.inf]], "coords must be integers")],
+    ids=["too-wide", "too-narrow", "past-y", "past-x", "negative", "3-D", "fraction", "nan",
+         "inf", "-inf"],
+)
+def test_feature_map_gather_refuses_bad_coords(coords, match):
     fmap = FeatureMap(np.ones((3, 4, 2)))
-    with pytest.raises(ValidationError, match="coords"):
+    with pytest.raises(ValidationError, match=match):
         fmap.gather(coords)
 
 
@@ -350,6 +358,10 @@ def test_cell_batch_constructor_refuses_bad_slots_or_counts():
         CellBatch(np.ones((2, 3, 4)), [5, 1])  # 5 rows claimed of a 3-slot cell
     with pytest.raises(ValidationError, match="valid_count"):
         CellBatch(np.ones((2, 3, 4)), [3])  # one count for two cells
+    for counts in ([2.9, 1.5], [2.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValidationError, match="valid_count must be integers"):
+            CellBatch(np.ones((2, 3, 1)), counts)
+    assert CellBatch(np.ones((2, 3, 1)), [3.0, 1.0]).valid_count.tolist() == [3, 1]
 
 
 def _dense_reference_batch(cloud, spec):
