@@ -24,6 +24,7 @@ from .descriptor import (
     MlpLayer,
     MlpParams,
     _array_from_doc,
+    _rows_matmul,
     descriptor_forward,
 )
 from .documents import Document
@@ -120,10 +121,10 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     dy = d_rows[order]
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
     for i in reversed(range(len(layers))):
-        layer = layers[i]
-        z = cache.layer_preacts[i]
-        dz = dy * (z[order] > 0.0) if layer.activation == "relu" else dy
-        layer_grads.append((cache.layer_inputs[i][order].T @ dz, dz.sum(axis=0)))
+        layer, x, y = layers[i], cache.activations[i], cache.activations[i + 1]
+        # a ReLU output is positive exactly where its input is, ±0.0 and NaN included
+        dz = dy * (y[order] > 0.0) if layer.activation == "relu" else dy
+        layer_grads.append((x[order].T @ dz, dz.sum(axis=0)))
         if i:
             dy = dz @ layer.weight.T
     layer_grads.reverse()
@@ -221,10 +222,10 @@ def is_tie_free(
 
     Requires every pair of valid embedded values within a channel to differ by
     at least ``margin * step``, and keeps ReLU pre-activations away from their
-    kink by the same margin so central differences never straddle one. Exact
-    zero-zero ties are allowed under a final ReLU: the pre-activation margin
-    pins those slots dead, so they stay at zero under the nudge and carry no
-    gradient either way.
+    kink by the same margin (recomputed from each layer's cached input) so
+    central differences never straddle one. Exact zero-zero ties are allowed
+    under a final ReLU: the pre-activation margin pins those slots dead, so
+    they stay at zero under the nudge and carry no gradient either way.
     """
     _, cache = descriptor_forward(params, None, batch, kind="max")
     if cache is None:  # no cells
@@ -238,7 +239,8 @@ def is_tie_free(
             tied &= ~((vals[:, :-1] == 0.0) & (vals[:, 1:] == 0.0))
         if tied.any():
             return False
-    for layer, z in zip(params.layers, cache.layer_preacts):
+    for layer, x in zip(params.layers, cache.activations):
+        z = _rows_matmul(x, layer.weight) + layer.bias
         if layer.activation == "relu" and (np.abs(z) < slack).any():
             return False
     return True

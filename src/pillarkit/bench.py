@@ -28,6 +28,9 @@ _OPENBLAS_THREAD_CALLS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
+INPUT_CHANNELS = 9  # of a decorated pillar point, the full descriptor's input
+SCALING_CHANNELS = 8  # of the embedded cells the aggregation stage alone runs on
+
 
 @dataclass
 class BenchConfig(Document):
@@ -37,9 +40,7 @@ class BenchConfig(Document):
     num_cells: int = 10000
     repetitions: int = 10
     mlp_widths: tuple[int, ...] = (64, 64)
-    input_channels: int = 9
     scaling_n: tuple[int, ...] = (8, 32, 128, 256)
-    scaling_channels: int = 8
     scaling_points: int = 1 << 18  # total slots per scaling measurement
     seed: Seed = 0
 
@@ -165,10 +166,10 @@ def _bench_inner(config: BenchConfig, threads: int | None) -> dict:
     }
 
     # full descriptor: shared MLP + aggregation
-    data = rng.uniform(-1.0, 1.0, size=(config.num_cells, config.n_points, config.input_channels))
+    data = rng.uniform(-1.0, 1.0, size=(config.num_cells, config.n_points, INPUT_CHANNELS))
     batch = cell_batch_from_arrays(data)
     widths = config.mlp_widths[:-1] + (config.channels,) if config.mlp_widths else ()
-    params = MlpParams.create(config.input_channels, widths, seed=config.seed)
+    params = MlpParams.create(INPUT_CHANNELS, widths, seed=config.seed)
     weights = AggregationWeights(rng.standard_normal(config.n_points))
 
     def make_runner(kind: str):
@@ -195,7 +196,7 @@ def _bench_inner(config: BenchConfig, threads: int | None) -> dict:
     scaling = []
     for n in config.scaling_n:
         k = max(1, config.scaling_points // n)
-        embedded = rng.standard_normal((k, n, config.scaling_channels))
+        embedded = rng.standard_normal((k, n, SCALING_CHANNELS))
         w_n = rng.standard_normal(n)
 
         def run_weighted():

@@ -22,8 +22,8 @@ groups are embedded one at a time, each sorted and combined while its
 embedding is still in cache, which pays off when a batch has many fill
 levels, as a LiDAR scan has (about 32). An inference forward so holds the
 fill-major input rows, the features and one group's arrays, never an
-embedding of every row; a training forward writes each group's arrays into
-its rows of the fill-major ones the backward reads.
+embedding of every row; a training forward writes each layer's output into
+the group's rows of the fill-major activations the backward reads.
 """
 
 from __future__ import annotations
@@ -213,37 +213,39 @@ def mlp_forward(params: MlpParams, cell: np.ndarray, valid_count: int) -> np.nda
 def _rows_matmul(x: np.ndarray, weight: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x @ weight``, into ``out`` if given, each row rounded as inside a larger batch.
 
-    numpy hands a one-row product to BLAS gemv, which rounds differently from
-    the gemm used for two or more rows, so a single row goes in twice.
+    OpenBLAS (0.3.31, as numpy 2.4 bundles it) computes a product's rows in
+    blocks of four, and the rows past the last full block through other code,
+    which can round differently when the product has fewer than four columns;
+    numpy also hands a one-row product to gemv. Those last rows so go in as a
+    zero-padded block of their own.
     """
-    if x.shape[0] != 1:
-        return np.matmul(x, weight, out=out)
-    z = (np.concatenate([x, x]) @ weight)[:1]
+    n = x.shape[0]
+    full = n - n % 4
     if out is None:
-        return z
-    out[...] = z
+        out = np.empty((n, weight.shape[1]))
+    np.matmul(x[:full], weight, out=out[:full])
+    if full < n:
+        tail = np.zeros((4, x.shape[1]))
+        tail[: n - full] = x[full:]
+        out[full:] = (tail @ weight)[: n - full]
     return out
 
 
-def _embed(
-    params: MlpParams, x: np.ndarray, into: list[tuple[np.ndarray, np.ndarray]] | None = None
-) -> np.ndarray:
+def _embed(params: MlpParams, x: np.ndarray, into: list[np.ndarray] | None = None) -> np.ndarray:
     """The shared MLP over rows ``x`` (n, C_in); with no layers, ``x`` itself.
 
-    The bias and ReLU apply in place. ``into`` holds, per layer, the
-    (pre-activation, output) arrays of (n, C_out) that keep what a backward
-    reads, one array twice for an identity layer; the embedding is then the
-    last output.
+    Each layer's product, bias and ReLU go in place into one (n, C_out)
+    array: ``into[i]`` if given, which then keeps that layer's output.
     """
     if params.layers and params.in_dim != x.shape[1]:
         raise ValidationError(
             f"MLP expects {params.in_dim} input channels, cell has {x.shape[1]}"
         )
     for i, layer in enumerate(params.layers):
-        pre, out = (None, None) if into is None else into[i]
-        z = _rows_matmul(x, layer.weight, out=pre)
-        z += layer.bias
-        x = np.maximum(z, 0.0, out=z if out is None else out) if layer.activation == "relu" else z
+        x = _rows_matmul(x, layer.weight, out=None if into is None else into[i])
+        x += layer.bias
+        if layer.activation == "relu":
+            np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -465,9 +467,9 @@ class ForwardCache:
 
     Arrays with a leading P axis hold the P occupied slots of the batch in
     fill-major order: fill group after fill group, each group's cells in
-    batch order, each cell's rows in slot order. The forward embeds one group
-    at a time and writes its layer inputs, pre-activations and embedding into
-    that group's rows; only a forward that keeps a cache makes these arrays.
+    batch order, each cell's rows in slot order. ``activations`` holds the
+    rows entering each layer, then the embedding (-0.0 canonicalized to
+    +0.0); with no layers only the embedding, and never a pre-activation.
     The groups carry their sorted blocks, and their flat source indices
     exactly when the backward routes through them: an MLP with layers and the
     weighted or max kind.
@@ -478,10 +480,13 @@ class ForwardCache:
     weights: AggregationWeights | None
     valid_count: np.ndarray  # (K,)
     capacity: int
-    layer_inputs: list[np.ndarray]  # (P, C_in) per layer
-    layer_preacts: list[np.ndarray]  # (P, C_out) per layer
-    embedded: np.ndarray  # (P, C), -0.0 canonicalized to +0.0
+    activations: list[np.ndarray]  # (P, C) per layer input, then the embedding
     groups: list[FillGroup]
+
+    @property
+    def embedded(self) -> np.ndarray:
+        """The (P, C) embedding, the last activation."""
+        return self.activations[-1]
 
     @property
     def sorted_values(self) -> np.ndarray | None:
@@ -511,7 +516,7 @@ def descriptor_forward(
     are computed: the P occupied rows are laid out fill-major, and each group
     of cells of equal fill level c is embedded, sorted and combined with the
     weights of the last c sorted rows before the next group. The cache
-    carries the embeddings and sorted blocks needed for the backward pass,
+    carries the activations and sorted blocks needed for the backward pass,
     plus each group's flat source index when the backward routes gradients
     through it; pass ``need_cache=False`` on inference-only paths to skip it,
     and with it every array of one row per point.
@@ -531,16 +536,11 @@ def descriptor_forward(
         _check_agg_shapes(weights, n, c_out)
 
     groups, rows = _fill_major(batch)
-    # a training forward keeps each layer's pre-activation and output in
-    # fill-major (P, ·) arrays, the last output being the embedding; an
-    # identity layer's output is its pre-activation array (for the last layer
-    # the canonicalization below rewrites it, and no gradient reads it)
-    preacts = outputs = embedded = None
-    if need_cache:
-        preacts = [np.empty((rows.shape[0], layer.bias.size)) for layer in params.layers]
-        outputs = [z if layer.activation == "identity" else np.empty_like(z)
-                   for layer, z in zip(params.layers, preacts)]
-        embedded = outputs[-1] if outputs else np.empty_like(rows)
+    outputs = embedded = None
+    if need_cache:  # each layer's fill-major (P, C_out) output, or the embedding alone
+        widths = [layer.bias.size for layer in params.layers] or [rows.shape[1]]
+        outputs = [np.empty((rows.shape[0], width)) for width in widths]
+        embedded = outputs[-1]
 
     # the backward routes sorted-row gradients to their rows only to feed MLP
     # layers, and the mean spreads them evenly without a permutation
@@ -548,8 +548,7 @@ def descriptor_forward(
     features = np.empty((k, c_out))
     for group in groups:
         c, span = group.count, group.span
-        into = [(z[span], y[span]) for z, y in zip(preacts, outputs)] if need_cache else None
-        x = _embed(params, rows[span], into)
+        x = _embed(params, rows[span], [y[span] for y in outputs] if need_cache else None)
         # turns -0.0 into +0.0 so ties are bit-identical: into the cache, or in
         # place unless the identity embedding passed the batch's own rows through
         x = np.add(x, 0.0, out=embedded[span] if need_cache else x if params.layers else None)
@@ -574,10 +573,7 @@ def descriptor_forward(
         weights=weights,
         valid_count=counts,
         capacity=n,
-        # one input per layer, so with no layers the cache does not hold the rows
-        layer_inputs=([rows] + outputs)[:-1],
-        layer_preacts=preacts,
-        embedded=embedded,
+        activations=[rows] + outputs if params.layers else outputs,
         groups=groups,
     )
     return features, cache

@@ -185,7 +185,14 @@ class CellBatch:
 
     @classmethod
     def from_rows(cls, rows, valid_count, capacity, cell_coords=None, spec=None, channel_names=()):
-        """A batch of cell-major occupied rows (P, C), ``valid_count`` rows per cell."""
+        """A batch of cell-major occupied rows (P, C), ``valid_count`` (K,) rows per cell.
+
+        Only the shapes are checked here; the descriptor checks the counts' range.
+        """
+        rows, valid_count = np.asarray(rows), np.asarray(valid_count)
+        if rows.ndim != 2 or valid_count.ndim != 1 or rows.shape[0] != valid_count.sum():
+            raise ValidationError(f"rows {rows.shape} must be (P, C), P the sum of the (K,) "
+                                  f"valid_count {valid_count.shape}: {valid_count.sum()}")
         batch = cls.__new__(cls)
         batch._assign(rows, valid_count, capacity, cell_coords, spec, channel_names)
         return batch

@@ -32,6 +32,7 @@ from .descriptor import (
     AggregationWeights,
     MlpParams,
     _array_from_doc,
+    _check_agg_shapes,
     descriptor_forward,
     descriptor_from_doc,
     descriptor_to_doc,
@@ -281,9 +282,9 @@ def _subseed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
-def _trainable(model: TrainedModel, config: TrainConfig) -> dict[str, np.ndarray]:
+def _trainable(model: TrainedModel, freeze_agg: bool) -> dict[str, np.ndarray]:
     """The arrays the optimizer updates, named ``mlp.*``, ``agg``, ``head.*`` in that order."""
-    out = param_dict(model.params, None if config.freeze_agg else model.weights)
+    out = param_dict(model.params, None if freeze_agg else model.weights)
     out["head.weight"] = model.head_weight
     out["head.bias"] = model.head_bias
     return out
@@ -367,7 +368,7 @@ def train_descriptor(
         grads["head.weight"] = features.T @ d_out
         grads["head.bias"] = np.asarray([d_out.sum()])
 
-        trainable = _trainable(model, config)
+        trainable = _trainable(model, config.freeze_agg)
         grads = {name: grads[name] for name in trainable}
         try:
             values = optimizer_step(state, trainable, grads)
@@ -434,7 +435,11 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[TrainedModel, OptimizerState, TrainConfig, ToyTaskSpec]:
-    """Read a :func:`save_checkpoint` document; any malformed part is a FileFormatError."""
+    """Read a :func:`save_checkpoint` document; any malformed part is a FileFormatError.
+
+    So is a part that contradicts another: a model that does not fit the
+    task's cells or the kind, or a moment not shaped like the array it names.
+    """
     try:
         doc = json.loads(Path(path).read_text())
         params, weights = descriptor_from_doc(doc["descriptor"])
@@ -445,7 +450,14 @@ def load_checkpoint(
             raise FileFormatError(
                 f"kind {doc['kind']!r} differs from the train_config kind {config.kind!r}"
             )
+        if params.layers and params.in_dim != task_spec.channels:
+            raise FileFormatError(f"the first layer takes {params.in_dim} channels, the task "
+                                  f"has {task_spec.channels}")
+        if (weights is not None) != (config.kind == "weighted"):
+            raise FileFormatError(f"aggregation weights do not fit the {config.kind!r} kind")
         c_out = params.output_channels(task_spec.channels)
+        if weights is not None:
+            _check_agg_shapes(weights, task_spec.n_points, c_out)
         model = TrainedModel(
             params=params,
             weights=weights,
@@ -454,6 +466,10 @@ def load_checkpoint(
             kind=config.kind,
             step=typed(int, doc["step"], "step", FileFormatError),
         )
+        arrays = _trainable(model, freeze_agg=False)
+        for name, (m, _) in state.moments.items():
+            if name not in arrays or m.shape != arrays[name].shape:
+                raise FileFormatError(f"optimizer moment {name!r} {m.shape} fits no model array")
         return model, state, config, task_spec
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError and ValidationError too
         raise FileFormatError(f"bad training checkpoint: {exc}") from exc

@@ -562,6 +562,46 @@ def test_train_toy_resume_from_corrupt_checkpoint_is_io_error(
     assert "error: I/O failure" in capsys.readouterr().err
 
 
+def _moment(shape):
+    size = int(np.prod(shape))
+    return {"shape": list(shape), "m": [0.0] * size, "v": [0.0] * size}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(_set("optimizer", "moments", "agg", _moment([1])), id="agg-moment-of-one"),
+        pytest.param(_set("optimizer", "moments", "agg", _moment([3])), id="agg-moment-of-three"),
+        pytest.param(_set("optimizer", "moments", "mlp.7.weight", _moment([4, 8])),
+                     id="moment-of-no-array"),
+        pytest.param(_set("descriptor", "layers", 0,
+                          {"shape": [5, 8], "weight": [0.1] * 40, "bias": [0.0] * 8,
+                           "activation": "relu"}),
+                     id="first-layer-of-five-channels"),
+        pytest.param(_set("descriptor", "aggregation",
+                          {"mode": "shared", "shape": [16], "values": [0.0] * 15 + [1.0]}),
+                     id="aggregation-of-16-rows"),
+        pytest.param(_set("descriptor", "aggregation", None), id="weighted-without-aggregation"),
+    ],
+)
+def test_train_toy_resume_refuses_a_checkpoint_that_contradicts_itself(
+    tmp_path, capsys, corrupt
+):
+    config = {
+        "toy": {"cells_per_class": 8, "n_points": 32, "channels": 4},
+        "train": {"steps": 2, "eval_every": 2, "batch_size": 8, "mlp_widths": [8]},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "short")]) == 0
+    doc = json.loads((tmp_path / "short" / "checkpoint.json").read_text())
+    corrupt(doc)
+    config["train"]["steps"] = 4  # so that the resumed run takes steps
+    cfg.write_text(json.dumps(config))
+    assert _resume(tmp_path, cfg, doc) == 3
+    assert "error: I/O failure" in capsys.readouterr().err
+
+
 def test_train_toy_seed_flag_overrides_config_sections(tmp_path, small_grid_config):
     config = json.loads(small_grid_config.read_text())
     config["toy"]["seed"] = 3

@@ -21,7 +21,7 @@ from pillarkit import (
     save_descriptor,
     sort_project,
 )
-from pillarkit.descriptor import set_fault_mode
+from pillarkit.descriptor import _rows_matmul, set_fault_mode
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_descriptor_rejects_fill_counts_outside_capacity():
     for bad in ([0, 3], [4, 3]):
         with pytest.raises(ValidationError):
             CellBatch(np.ones((2, 3, 2)), np.array(bad))
-        # from_rows trusts its caller, so the descriptor checks the counts itself
+        # from_rows checks shapes only, so the descriptor checks the counts itself
         broken = CellBatch.from_rows(np.ones((sum(bad), 2)), np.array(bad), 3)
         with pytest.raises(ValidationError):
             descriptor_forward(MlpParams([]), None, broken, "max")
@@ -428,6 +428,23 @@ def test_one_point_embedding_rounds_as_inside_a_larger_batch():
             assert one[0].tobytes() == full[kind][i].tobytes()
 
 
+@pytest.mark.parametrize("c_out", [1, 2, 3, 64])
+def test_rows_round_as_inside_a_larger_batch(c_out):
+    # BLAS rounds the rows past a product's last block of four differently
+    # when it has fewer than four columns, and one row goes to gemv
+    rng = np.random.default_rng(c_out)
+    x = rng.standard_normal((64, 16))
+    weight = rng.standard_normal((16, c_out))
+    whole = x @ weight  # 64 rows: none past the last block
+    for start in range(8):
+        for n in range(1, 12):
+            rows = slice(start, start + n)
+            assert _rows_matmul(x[rows], weight).tobytes() == whole[rows].tobytes()
+            out = np.empty((n, c_out))
+            assert _rows_matmul(x[rows], weight, out=out) is out
+            assert out.tobytes() == whole[rows].tobytes()
+
+
 @pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
 def test_inference_forward_embeds_one_fill_group_at_a_time(kind):
     # with many fill levels no group is more than a small share of the rows,
@@ -448,3 +465,26 @@ def test_inference_forward_embeds_one_fill_group_at_a_time(kind):
     finally:
         tracemalloc.stop()
     assert peak < one_embedding
+
+
+@pytest.mark.parametrize("kind, bound", [("weighted", 3.6), ("max", 1.8)])
+def test_training_forward_keeps_each_activation_once(kind, bound):
+    # the cache keeps one fill-major output per layer and reads a ReLU's mask
+    # there, so no pre-activation array is held beside it; the bound is in
+    # (P, C_out) float64 arrays: the weighted kind also keeps its sorted blocks
+    rng = np.random.default_rng(5)
+    n = 32
+    counts = rng.permutation(np.repeat(np.arange(1, n + 1), 125))  # 4,000 cells
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, n, 9)), counts)
+    params = MlpParams.create(9, (64,), seed=5)
+    weights = None
+    if kind == "weighted":
+        weights = AggregationWeights.max_pool_init(n, noise=0.1, seed=5)
+    one_embedding = batch.rows.shape[0] * params.out_dim * 8
+    tracemalloc.start()
+    try:
+        descriptor_forward(params, weights, batch, kind, need_cache=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * one_embedding, peak / one_embedding

@@ -1,12 +1,15 @@
 """The fill-major descriptor against the cell-major one it replaced.
 
 ``_reference_forward`` and ``_reference_backward`` keep the previous
-implementation, frozen: the occupied rows are embedded in cell-major order,
+implementation, frozen: the occupied rows are embedded in cell-major order
+(each product's rows rounded as inside a larger batch, as the library's are),
 each fill group's rows are gathered out of the embedding, sorted with a
 stable argsort and ``take_along_axis`` (or ``np.sort`` when no permutation is
-needed), and gradients are routed back with ``put_along_axis``. The library's
-layout, sorting network and flat-index routing must reproduce its features,
-sorted matrices and gradients bitwise.
+needed), gradients are routed back with ``put_along_axis``, and a ReLU's
+mask is read from its pre-activation. The library's layout, sorting network,
+flat-index routing and masks read from layer outputs must reproduce its
+features, sorted matrices and gradients bitwise, for ReLU and identity
+layers alike.
 """
 
 import numpy as np
@@ -25,13 +28,22 @@ from pillarkit.autograd import grad_dict
 from pillarkit.descriptor import _NETWORK_MAX_FILL, _network, _network_sort, set_fault_mode
 
 
+def _reference_matmul(x, weight):
+    """``x @ weight`` with the rows past the last full block of four padded to one.
+
+    BLAS rounds those rows differently when the product is narrow, so the
+    library rounds every row as inside a larger batch, and so does this.
+    """
+    full = x.shape[0] - x.shape[0] % 4
+    tail = np.zeros((4, x.shape[1]))
+    tail[: x.shape[0] - full] = x[full:]
+    return np.concatenate([x[:full] @ weight, (tail @ weight)[: x.shape[0] - full]])
+
+
 def _reference_embed(params, x, need_cache):
     inputs, preacts = [], []
     for layer in params.layers:
-        if x.shape[0] == 1:  # a one-row product goes to gemv, which rounds differently
-            z = (np.concatenate([x, x]) @ layer.weight)[:1] + layer.bias
-        else:
-            z = x @ layer.weight + layer.bias
+        z = _reference_matmul(x, layer.weight) + layer.bias
         if need_cache:
             inputs.append(x)
             preacts.append(z)
@@ -196,14 +208,22 @@ def _assert_matches_reference(params, weights, batch, kind, upstream):
     fill=st.sampled_from(["random", "single-level", "one-point-cells", "full"]),
     duplicates=st.booleans(),
     depth=st.integers(0, 2),
+    activations=st.tuples(*[st.sampled_from(["relu", "identity"])] * 2),
     kind_mode=st.sampled_from(
         [("weighted", "shared"), ("weighted", "per-channel"), ("max", None), ("mean", None)]
     ),
 )
 # fills 5, 4, 3, 2, 2, 1: the one-point level is one cell, a group that embeds a single row
 @example(seed=0, n=5, k=6, fill="random", duplicates=False, depth=2,
-         kind_mode=("weighted", "shared"))
-def test_fill_major_matches_cell_major_reference(seed, n, k, fill, duplicates, depth, kind_mode):
+         activations=("relu", "relu"), kind_mode=("weighted", "shared"))
+# an identity layer feeding a ReLU one, and an identity layer last
+@example(seed=1, n=5, k=6, fill="random", duplicates=True, depth=2,
+         activations=("identity", "relu"), kind_mode=("max", None))
+@example(seed=2, n=20, k=12, fill="random", duplicates=False, depth=2,
+         activations=("relu", "identity"), kind_mode=("weighted", "per-channel"))
+def test_fill_major_matches_cell_major_reference(
+    seed, n, k, fill, duplicates, depth, activations, kind_mode
+):
     kind, mode = kind_mode
     rng = np.random.default_rng(seed)
     counts = {
@@ -215,8 +235,9 @@ def test_fill_major_matches_cell_major_reference(seed, n, k, fill, duplicates, d
     c_in = int(rng.integers(1, 6))
     widths = tuple(int(w) for w in rng.integers(1, 9, size=depth))
     params = MlpParams.create(c_in, widths, seed=seed % 2**31) if depth else MlpParams([])
-    for layer in params.layers:
+    for layer, activation in zip(params.layers, activations):
         layer.bias = 0.1 * rng.standard_normal(layer.bias.shape)
+        layer.activation = activation
     c_out = params.output_channels(c_in)
     weights = None
     if kind == "weighted":

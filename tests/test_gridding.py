@@ -364,6 +364,21 @@ def test_cell_batch_constructor_refuses_bad_slots_or_counts():
     assert CellBatch(np.ones((2, 3, 1)), [3.0, 1.0]).valid_count.tolist() == [3, 1]
 
 
+@pytest.mark.parametrize(
+    "rows, counts",
+    [
+        pytest.param(np.ones((5, 2)), np.array([2, 2]), id="a-row-too-many"),
+        pytest.param(np.ones((3, 2)), np.array([2, 2]), id="a-row-too-few"),
+        pytest.param(np.ones(4), np.array([2, 2]), id="rows-1-D"),
+        pytest.param(np.ones((4, 2)), np.array([[2, 2]]), id="counts-2-D"),
+    ],
+)
+def test_cell_batch_from_rows_refuses_mismatched_shapes(rows, counts):
+    with pytest.raises(ValidationError, match="must be \\(P, C\\)"):
+        CellBatch.from_rows(rows, counts, 3)
+    assert CellBatch.from_rows(np.ones((4, 2)), np.array([2, 2]), 3).num_cells == 2
+
+
 def _dense_reference_batch(cloud, spec):
     """The zero-padded slot builder: (data, valid_count, cell_coords).
 
