@@ -3,7 +3,8 @@
 The sort stage is locally a fixed permutation (ties pinned by the stable
 tie-break), so its backward pass just routes each sorted-row gradient to the
 slot it came from. Like the forward pass it runs on the occupied slots only,
-one fill-level group at a time; padding slots get zero gradient.
+fill-level group by fill-level group, the groups shared across the usable
+CPUs; padding slots get zero gradient.
 
 All reductions over a cell's slots run in a canonical order (by embedded row
 values), not input order, so parameter gradients are bitwise identical under
@@ -24,6 +25,7 @@ from .descriptor import (
     MlpLayer,
     MlpParams,
     _array_from_doc,
+    _for_each_group,
     _rows_matmul,
     descriptor_forward,
 )
@@ -44,47 +46,41 @@ class Gradients:
     agg: np.ndarray | None
 
 
-def _canonical_row_order(embedded: np.ndarray, groups: list[FillGroup]) -> np.ndarray:
-    """Fill-major rows, fill group by group, each cell's rows in value order.
+def _canonical_rows(embedded: np.ndarray, key: np.ndarray, group: FillGroup) -> np.ndarray:
+    """The group's fill-major rows, cell by cell, each cell's rows in value order.
 
-    Rows are ranked by their channel sum, a fixed per-row reduction, so equal
+    ``key`` is each row's channel sum, a fixed per-row reduction, so equal
     rows get equal keys; only cells where distinct rows tie on that key are
     ranked lexicographically by row values instead. Slots with identical
     embedded rows contribute identically (or not at all, for ReLU-dead rows),
     so their relative order cannot change the sums.
     """
-    key = embedded.sum(axis=1)
-    parts = []
-    for group in groups:
-        c = group.count
-        first = np.arange(group.start, group.start + group.cells.size * c, c)[:, None]
-        rows = np.argsort(group.block(key), axis=1, kind="stable") + first
-        keys = key[rows]
-        cell, pos = np.nonzero(keys[:, 1:] == keys[:, :-1])
-        differ = (embedded[rows[cell, pos]] != embedded[rows[cell, pos + 1]]).any(axis=1)
-        for i in np.unique(cell[differ]):
-            cell_rows = embedded[first[i, 0] : first[i, 0] + c]
-            rows[i] = first[i] + np.lexsort(cell_rows.T[::-1])
-        parts.append(rows.ravel())
-    return np.concatenate(parts)
+    c = group.count
+    first = np.arange(group.start, group.span.stop, c)[:, None]
+    rows = np.argsort(group.block(key), axis=1, kind="stable") + first
+    keys = key[rows]
+    cell, pos = np.nonzero(keys[:, 1:] == keys[:, :-1])
+    differ = (embedded[rows[cell, pos]] != embedded[rows[cell, pos + 1]]).any(axis=1)
+    for i in np.unique(cell[differ]):
+        cell_rows = embedded[first[i, 0] : first[i, 0] + c]
+        rows[i] = first[i] + np.lexsort(cell_rows.T[::-1])
+    return rows.ravel()
 
 
-def _route(cache: ForwardCache, upstream: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Sorted-row gradients routed back to the fill-major rows they came from, (P, C)."""
-    n = cache.capacity
-    # the max kind routes to one row per cell and channel; the rest stay zero
-    d_rows = (np.zeros_like if cache.kind == "max" else np.empty_like)(cache.embedded)
-    for group in cache.groups:
-        up = upstream[group.cells][:, None, :]
-        if cache.kind == "mean":
-            group.block(d_rows)[...] = up / group.count
-        elif cache.kind == "max":
-            np.put(d_rows, group.src, up)
-        elif w.ndim == 1:
-            np.put(d_rows, group.src, up * w[n - group.count :][None, :, None])
-        else:
-            np.put(d_rows, group.src, up * w[n - group.count :][None])
-    return d_rows
+def _route(cache: ForwardCache, group: FillGroup, up: np.ndarray, d_rows: np.ndarray) -> None:
+    """The group's sorted-row gradients, routed into ``d_rows`` at the rows they came from.
+
+    ``up`` is the group's (k_c, 1, C) feature gradient. The max kind writes
+    one row per cell and channel; its other rows must already be zero.
+    """
+    if cache.kind == "mean":
+        group.block(d_rows)[...] = up / group.count
+    elif cache.kind == "max":
+        np.put(d_rows, group.src, up)
+    else:
+        w_rows = cache.weights.values[cache.capacity - group.count :]
+        w_rows = w_rows[None, :, None] if w_rows.ndim == 1 else w_rows[None]
+        np.put(d_rows, group.src, up * w_rows)
 
 
 def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
@@ -94,6 +90,11 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     accumulated over all cells. Sorted-row gradients are routed to their
     slots only to feed MLP layers; no input gradient is formed, since the
     descriptor's inputs are raw points with no parameters upstream.
+
+    Each fill group's share of the aggregation gradient, its routing, its
+    canonical row order and the last layer's gradient rows are formed on
+    their own (see ``_for_each_group``); the sums over groups and the layer
+    products over all rows then run on the calling thread, in group order.
     """
     if cache is None:
         raise ValidationError("forward cache is missing; rerun forward with need_cache=True")
@@ -104,26 +105,47 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     if upstream.shape != (k, c):
         raise ValidationError(f"upstream must be ({k}, {c}), got {upstream.shape}")
 
-    w = agg_grad = None
-    if cache.kind == "weighted":
-        w = cache.weights.values
-        agg_grad = np.zeros_like(w)
-        spec = "kc,knc->n" if w.ndim == 1 else "kc,knc->nc"
-        for group in cache.groups:
-            agg_grad[n - group.count :] += np.einsum(spec, upstream[group.cells], group.values)
-
+    w = cache.weights.values if cache.kind == "weighted" else None
+    spec = "kc,knc->n" if w is None or w.ndim == 1 else "kc,knc->nc"
     layers = cache.params.layers
-    if not layers:  # no MLP parameters: nothing to route or order
+    embedded = cache.embedded
+    if layers:
+        last = layers[-1]
+        key = embedded.sum(axis=1)
+        # the max kind routes to one row per cell and channel; the rest stay zero
+        dz = (np.zeros_like if cache.kind == "max" else np.empty_like)(embedded)
+
+    def backward_group(group: FillGroup) -> tuple[np.ndarray | None, np.ndarray | None]:
+        up = upstream[group.cells]
+        agg_part = None if w is None else np.einsum(spec, up, group.values)
+        if not layers:  # no MLP parameters: nothing to route or order
+            return agg_part, None
+        # routed into dz's rows of this group, then reordered among them: the
+        # canonical order permutes rows only within a group
+        _route(cache, group, up[:, None, :], dz)
+        rows = _canonical_rows(embedded, key, group)
+        if last.activation == "relu":
+            # a ReLU output is positive exactly where its input is, ±0.0 and NaN included
+            np.multiply(dz[rows], embedded[rows] > 0.0, out=dz[group.span])
+        else:
+            dz[group.span] = dz[rows]
+        return agg_part, rows
+
+    parts = _for_each_group(backward_group, cache.groups)
+    agg_grad = None
+    if w is not None:
+        agg_grad = np.zeros_like(w)
+        for group, (agg_part, _) in zip(cache.groups, parts):
+            agg_grad[n - group.count :] += agg_part
+    if not layers:
         return Gradients([], agg_grad)
 
-    d_rows = _route(cache, upstream, w)
-    order = _canonical_row_order(cache.embedded, cache.groups)
-    dy = d_rows[order]
+    order = np.concatenate([rows for _, rows in parts])
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
     for i in reversed(range(len(layers))):
         layer, x, y = layers[i], cache.activations[i], cache.activations[i + 1]
-        # a ReLU output is positive exactly where its input is, ±0.0 and NaN included
-        dz = dy * (y[order] > 0.0) if layer.activation == "relu" else dy
+        if i < len(layers) - 1:  # the last layer's dz was formed group by group
+            dz = dy * (y[order] > 0.0) if layer.activation == "relu" else dy
         layer_grads.append((x[order].T @ dz, dz.sum(axis=0)))
         if i:
             dy = dz @ layer.weight.T

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import AggregationWeights, MlpParams, descriptor_forward
+from .descriptor import AggregationWeights, MlpParams, _group_workers, descriptor_forward
 from .documents import Document, Seed
 from .errors import ValidationError
 from .gridding import cell_batch_from_arrays
@@ -127,7 +127,11 @@ def _single_blas_thread():
 
 
 def _environment(blas_threads: int | None) -> dict:
-    """What the timings ran on: numpy, its BLAS, and the BLAS thread count."""
+    """What the timings ran on: numpy, its BLAS, and the thread counts.
+
+    ``group_workers`` is how many threads a training pass over more than one
+    fill group shares its groups across; a full-cell batch is one group.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
@@ -137,6 +141,7 @@ def _environment(blas_threads: int | None) -> dict:
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_threads": blas_threads,
+        "group_workers": _group_workers(),
     }
 
 

@@ -31,6 +31,7 @@ from .errors import DivergenceError, FileFormatError, PillarkitError, Validation
 from .gridding import CellBatch, GridSpec, build_cell_batch, require_memory, scatter_to_grid
 from .pointcloud import load_kitti_bin
 from .toy import (
+    RESUME_FIXED_KEYS,
     ToyTaskSpec,
     TrainConfig,
     build_toy_dataset,
@@ -199,10 +200,20 @@ def cmd_train_toy(args) -> int:
 
     model = state = None
     if args.resume:
-        model, state, train_config, task_spec = load_checkpoint(args.resume)
+        model, state, saved, task_spec = load_checkpoint(args.resume)
         # the checkpoint owns the run configuration; the train section may
-        # still extend it (typically a larger step budget)
-        train_config = TrainConfig.from_doc({**train_config.to_doc(), **_section(config, "train")})
+        # still extend it (typically a larger step budget), but not change the
+        # model or the optimizer whose state it holds
+        overrides = dict(_section(config, "train"))
+        if args.descriptor:
+            overrides["kind"] = args.descriptor
+        train_config = TrainConfig.from_doc({**saved.to_doc(), **overrides})
+        for key in RESUME_FIXED_KEYS:
+            if getattr(train_config, key) != getattr(saved, key):
+                raise ValidationError(
+                    f"train.{key} cannot change on resume: the checkpoint has "
+                    f"{getattr(saved, key)!r}, this run asks for {getattr(train_config, key)!r}"
+                )
     else:
         task_doc = dict(_section(config, "toy"))
         train_doc = dict(_section(config, "train"))

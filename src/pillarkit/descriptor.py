@@ -17,19 +17,24 @@ Execution is ragged: the batched descriptor computes only the occupied slots.
 It lays the occupied rows out fill-major (cells ordered by fill level, batch
 order kept within a level), so each group of c-point cells is one contiguous
 block of rows, where the padding rows of the dense sorted matrix would only
-add zero terms; a group of c-point cells uses the last c weight rows. The
-groups are embedded one at a time, each sorted and combined while its
-embedding is still in cache, which pays off when a batch has many fill
-levels, as a LiDAR scan has (about 32). An inference forward so holds the
-fill-major input rows, the features and one group's arrays, never an
-embedding of every row; a training forward writes each layer's output into
-the group's rows of the fill-major activations the backward reads.
+add zero terms; a group of c-point cells uses the last c weight rows. Each
+group is embedded, sorted and combined as one unit, while its embedding is
+still in cache, which pays off when a batch has many fill levels, as a LiDAR
+scan has (about 32). An inference forward takes the groups one at a time on
+the calling thread, so it holds the fill-major input rows, the features and
+one group's arrays, never an embedding of every row. A training forward
+shares the groups across the usable CPUs (``_for_each_group``) and writes
+each layer's output into the group's rows of the fill-major activations the
+backward reads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -270,13 +275,73 @@ class FillGroup:
     src: np.ndarray | None = None
 
     @property
+    def rows(self) -> int:
+        """How many fill-major rows this group holds."""
+        return self.cells.size * self.count
+
+    @property
     def span(self) -> slice:
         """This group's fill-major rows."""
-        return slice(self.start, self.start + self.cells.size * self.count)
+        return slice(self.start, self.start + self.rows)
 
     def block(self, rows: np.ndarray) -> np.ndarray:
         """This group's view of fill-major ``rows``: (k_c, count) plus the trailing axes."""
         return rows[self.span].reshape(self.cells.size, self.count, *rows.shape[1:])
+
+
+def _group_workers() -> int:
+    """How many threads a multi-group training pass shares its groups across."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _for_each_group(fn, groups: list[FillGroup]) -> list:
+    """``[fn(g) for g in groups]``, the groups shared across the usable CPUs.
+
+    Each share gets about as many rows as the others (largest group first, to
+    the share holding the fewest rows so far). Share 0 runs on the calling
+    thread and the rest on threads of their own, each under a copy of the
+    caller's context, so that an ``np.errstate`` in force still applies. Every
+    thread is joined before this returns; if any share failed, the error of
+    the lowest-numbered one is raised here. ``fn`` may write only to its own
+    group's rows, so the results are bitwise those of the serial loop as long
+    as the caller reduces them in group order.
+    """
+    workers = min(_group_workers(), len(groups)) if len(groups) > 1 else 1
+    if workers < 2:
+        return [fn(group) for group in groups]
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    load = [0] * workers
+    for i in sorted(range(len(groups)), key=lambda i: -groups[i].rows):
+        share = load.index(min(load))
+        shares[share].append(i)
+        load[share] += groups[i].rows
+    results: list = [None] * len(groups)
+    errors: list[BaseException | None] = [None] * workers
+
+    def run(share: int) -> None:
+        try:
+            for i in shares[share]:
+                results[i] = fn(groups[i])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[share] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, share))
+        for share in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _fill_major(batch: CellBatch) -> tuple[list[FillGroup], np.ndarray]:
@@ -515,7 +580,8 @@ def descriptor_forward(
     Returns (features, cache) where features is (K, C). Only occupied slots
     are computed: the P occupied rows are laid out fill-major, and each group
     of cells of equal fill level c is embedded, sorted and combined with the
-    weights of the last c sorted rows before the next group. The cache
+    weights of the last c sorted rows as one unit, the groups in turn for
+    inference and shared across the usable CPUs for training. The cache
     carries the activations and sorted blocks needed for the backward pass,
     plus each group's flat source index when the backward routes gradients
     through it; pass ``need_cache=False`` on inference-only paths to skip it,
@@ -546,7 +612,8 @@ def descriptor_forward(
     # layers, and the mean spreads them evenly without a permutation
     need_perm = need_cache and bool(params.layers) and kind != "mean"
     features = np.empty((k, c_out))
-    for group in groups:
+
+    def forward_group(group: FillGroup) -> None:
         c, span = group.count, group.span
         x = _embed(params, rows[span], [y[span] for y in outputs] if need_cache else None)
         # turns -0.0 into +0.0 so ties are bit-identical: into the cache, or in
@@ -563,10 +630,15 @@ def descriptor_forward(
             features[group.cells] = _combine(w_rows, values)
             if need_cache:
                 group.values = values
-        x = block = values = None  # free this group's arrays before the next one's are made
 
     if not need_cache:
+        # one group at a time on this thread, each group's arrays freed before
+        # the next one's are made: a second thread's heap and group arrays
+        # would raise the peak memory of featurize
+        for group in groups:
+            forward_group(group)
         return features, None
+    _for_each_group(forward_group, groups)
     cache = ForwardCache(
         kind=kind,
         params=params,

@@ -168,6 +168,11 @@ def quantile_threshold_oracle(cells: np.ndarray, threshold: float = 0.66) -> np.
     return (quantile_spread_scores(cells) > threshold).astype(np.int64)
 
 
+# the TrainConfig fields that define the model and the optimizer whose state a
+# checkpoint holds: a resumed run keeps them
+RESUME_FIXED_KEYS = ("kind", "mlp_widths", "activation", "optimizer")
+
+
 @dataclass
 class TrainConfig(Document):
     kind: str = "weighted"

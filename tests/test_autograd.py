@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from pillarkit import (
     optimizer_step,
     run_gradient_check_suite,
 )
+from pillarkit import descriptor
 from pillarkit.autograd import (
     compare_gradients,
     grad_dict,
@@ -159,7 +163,8 @@ def test_backward_matches_naive_loop_oracle():
                   ("mean", None)]
 )
 @pytest.mark.parametrize("widths", [(5, 3), ()])
-def test_backward_matches_naive_loop_oracle_at_every_fill_level(kind, mode, widths):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_backward_matches_naive_loop_oracle_at_every_fill_level(kind, mode, widths, workers):
     n = 6
     counts = np.random.default_rng(34).permutation(np.repeat(np.arange(1, n + 1), 2))
     params, _, batch, rng = make_random_setup(34, k=counts.size, n=n, counts=counts)
@@ -170,9 +175,19 @@ def test_backward_matches_naive_loop_oracle_at_every_fill_level(kind, mode, widt
         c = params.output_channels(batch.num_channels)
         shape = (n,) if mode == "shared" else (n, c)
         w = AggregationWeights(rng.standard_normal(shape), mode)
-    features, cache = descriptor_forward(params, w, batch, kind)
-    upstream = rng.standard_normal(features.shape)
-    grads = descriptor_backward(cache, upstream)
+    upstream = rng.standard_normal((batch.num_cells, params.output_channels(batch.num_channels)))
+    runs = []
+    for count in (1, workers):  # on one thread, then with the groups shared
+        with mock.patch.object(descriptor, "_group_workers", lambda: count):
+            features, cache = descriptor_forward(params, w, batch, kind)
+            runs.append((features, cache.sorted_values, descriptor_backward(cache, upstream)))
+    (serial_features, serial_sorted, serial), (features, sorted_values, grads) = runs
+    assert features.tobytes() == serial_features.tobytes()
+    assert (sorted_values is None) == (kind == "max")
+    if sorted_values is not None:
+        assert sorted_values.tobytes() == serial_sorted.tobytes()
+    for name, grad in grad_dict(grads).items():
+        assert grad.tobytes() == grad_dict(serial)[name].tobytes(), name
     d_layers, d_w = _naive_backward(params, w, batch, upstream, kind)
 
     if d_w is None:
@@ -197,6 +212,33 @@ def test_identity_embedding_backward_computes_no_permutation(kind):
     grads = descriptor_backward(cache, rng.standard_normal(features.shape))
     grad_dict(grads)
     assert all(group.src is None for group in cache.groups)
+
+
+@pytest.mark.parametrize("kind", ["weighted", "max"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_backward_routes_into_one_gradient_array(kind, workers):
+    # the sorted-row gradients are routed into the rows of the last layer's
+    # gradient and reordered there, group by group, so the backward holds one
+    # (P, C_out) float64 array beside small per-group ones
+    rng = np.random.default_rng(5)
+    n = 32
+    counts = rng.permutation(np.repeat(np.arange(1, n + 1), 125))  # 4,000 cells
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, n, 9)), counts)
+    params = MlpParams.create(9, (64,), seed=5)
+    weights = None
+    if kind == "weighted":
+        weights = AggregationWeights.max_pool_init(n, noise=0.1, seed=5)
+    one_embedding = batch.rows.shape[0] * params.out_dim * 8
+    features, cache = descriptor_forward(params, weights, batch, kind)
+    upstream = rng.standard_normal(features.shape)
+    with mock.patch.object(descriptor, "_group_workers", lambda: workers):
+        tracemalloc.start()
+        try:
+            descriptor_backward(cache, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2.0 * one_embedding, peak / one_embedding
 
 
 def test_backward_requires_cache_and_matching_shapes():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -33,12 +34,13 @@ def test_report_structure(tiny_report):
 
 def test_report_names_its_environment(tiny_report):
     env = tiny_report["environment"]
-    assert env.keys() == {"numpy", "blas", "blas_version", "blas_threads"}
+    assert env.keys() == {"numpy", "blas", "blas_version", "blas_threads", "group_workers"}
     assert env["numpy"] == np.__version__
     assert all(env[key] is None or isinstance(env[key], str) for key in ("blas", "blas_version"))
     # read back inside the pin, so one thread exactly where the pin took
     assert (env["blas_threads"] == 1) == tiny_report["thread_pinning_applied"]
     assert (env["blas_threads"] is None) == (bench._openblas_thread_calls() is None)
+    assert env["group_workers"] == len(os.sched_getaffinity(0))
 
 
 def test_single_blas_thread_pins_and_restores_the_thread_count():

@@ -602,6 +602,35 @@ def test_train_toy_resume_refuses_a_checkpoint_that_contradicts_itself(
     assert "error: I/O failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("kind", "max"), ("mlp_widths", [16]), ("activation", "identity"), ("optimizer", "sgd"),
+     ("kind", "--descriptor")],
+    ids=["kind", "mlp-widths", "activation", "optimizer", "descriptor-flag"],
+)
+def test_train_toy_resume_refuses_to_change_the_model(tmp_path, capsys, key, value):
+    config = {
+        "toy": {"cells_per_class": 8, "n_points": 32, "channels": 4},
+        "train": {"steps": 2, "eval_every": 2, "batch_size": 8, "mlp_widths": [8]},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "short")]) == 0
+    config["train"]["steps"] = 4
+    flags = []
+    if value == "--descriptor":
+        flags = ["--descriptor", "mean"]
+    else:
+        config["train"][key] = value
+    cfg.write_text(json.dumps(config))
+    resumed = tmp_path / "resumed"
+    code = main(["train-toy", "--config", str(cfg), *flags, "--out", str(resumed),
+                 "--resume", str(tmp_path / "short" / "checkpoint.json")])
+    assert code == 2
+    assert f"train.{key} cannot change on resume" in capsys.readouterr().err
+    assert not (resumed / "checkpoint.json").exists()
+
+
 def test_train_toy_seed_flag_overrides_config_sections(tmp_path, small_grid_config):
     config = json.loads(small_grid_config.read_text())
     config["toy"]["seed"] = 3

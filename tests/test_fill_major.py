@@ -9,8 +9,16 @@ needed), gradients are routed back with ``put_along_axis``, and a ReLU's
 mask is read from its pre-activation. The library's layout, sorting network,
 flat-index routing and masks read from layer outputs must reproduce its
 features, sorted matrices and gradients bitwise, for ReLU and identity
-layers alike.
+layers alike, whether a training pass runs its fill groups on one thread or
+shares them across two.
 """
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +32,21 @@ from pillarkit import (
     descriptor_backward,
     descriptor_forward,
 )
+from pillarkit import descriptor
 from pillarkit.autograd import grad_dict
-from pillarkit.descriptor import _NETWORK_MAX_FILL, _network, _network_sort, set_fault_mode
+from pillarkit.descriptor import (
+    _NETWORK_MAX_FILL,
+    FillGroup,
+    _for_each_group,
+    _network,
+    _network_sort,
+    set_fault_mode,
+)
+
+
+def _workers(count):
+    """Training passes share their fill groups across ``count`` threads."""
+    return mock.patch.object(descriptor, "_group_workers", lambda: count)
 
 
 def _reference_matmul(x, weight):
@@ -221,9 +242,15 @@ def _assert_matches_reference(params, weights, batch, kind, upstream):
          activations=("identity", "relu"), kind_mode=("max", None))
 @example(seed=2, n=20, k=12, fill="random", duplicates=False, depth=2,
          activations=("relu", "identity"), kind_mode=("weighted", "per-channel"))
+@pytest.mark.parametrize("workers", [1, 2])
 def test_fill_major_matches_cell_major_reference(
-    seed, n, k, fill, duplicates, depth, activations, kind_mode
+    workers, seed, n, k, fill, duplicates, depth, activations, kind_mode
 ):
+    with _workers(workers):
+        _check_against_reference(seed, n, k, fill, duplicates, depth, activations, kind_mode)
+
+
+def _check_against_reference(seed, n, k, fill, duplicates, depth, activations, kind_mode):
     kind, mode = kind_mode
     rng = np.random.default_rng(seed)
     counts = {
@@ -294,3 +321,120 @@ def test_skip_sort_fault_bypasses_the_network():
     occupied = np.arange(_NETWORK_MAX_FILL)[None, :] >= (_NETWORK_MAX_FILL - counts)[:, None]
     falls = (np.diff(cache.sorted_values, axis=1) < 0).any(axis=2) & occupied[:, :-1]
     assert falls.any()
+
+
+# ---------------------------------------------------------------------------
+# Fill groups shared across threads
+# ---------------------------------------------------------------------------
+
+
+def _groups(*counts):
+    """One FillGroup of three cells per fill count, rows laid out in turn."""
+    groups, start = [], 0
+    for count in counts:
+        groups.append(FillGroup(count, np.arange(3), start))
+        start += 3 * count
+    return groups
+
+
+def test_groups_are_shared_by_rows_and_results_keep_group_order():
+    callers = {}
+
+    def fn(group):
+        callers[group.count] = threading.get_ident()
+        return group.count
+
+    with _workers(2):
+        assert _for_each_group(fn, _groups(1, 2, 3)) == [1, 2, 3]
+    # the largest group stays on the calling thread; the other two balance it
+    assert callers[3] == threading.get_ident()
+    assert callers[1] == callers[2] != threading.get_ident()
+    callers.clear()
+    with _workers(1):
+        assert _for_each_group(fn, _groups(1, 2, 3)) == [1, 2, 3]
+    assert set(callers.values()) == {threading.get_ident()}
+
+
+def test_an_error_inside_a_worker_reaches_the_caller():
+    def fn(group):
+        if group.count == 1:  # on the worker thread, as the test above shows
+            raise ValueError("group of one")
+        return group.count
+
+    before = threading.active_count()
+    with _workers(2), pytest.raises(ValueError, match="group of one"):
+        _for_each_group(fn, _groups(1, 2, 3))
+    assert threading.active_count() == before
+
+
+def test_the_callers_errstate_applies_inside_a_worker():
+    def fn(group):
+        if group.count == 1:
+            assert threading.current_thread() is not threading.main_thread()
+            return np.ones(1) / np.zeros(1)
+        return None
+
+    with _workers(2), np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        _for_each_group(fn, _groups(1, 2, 3))
+
+
+def test_a_training_pass_leaves_no_thread_behind():
+    rng = np.random.default_rng(8)
+    counts = rng.integers(1, 9, size=40)
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, 8, 3)), counts)
+    params = MlpParams.create(3, (6,), seed=8)
+    weights = AggregationWeights.max_pool_init(8, noise=0.1, seed=8)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    before = threading.active_count()
+    with _workers(2), mock.patch.object(descriptor.threading, "Thread", Thread):
+        features, cache = descriptor_forward(params, weights, batch, "weighted")
+        descriptor_backward(cache, rng.standard_normal(features.shape))
+    assert len(started) == 2  # one worker for the forward, one for the backward
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_more_workers_than_cores_switching_often_give_the_serial_bits():
+    # every share writes its own groups' rows and results; a lost or misplaced
+    # write under frequent thread switches would change a digest
+    rng = np.random.default_rng(9)
+    counts = rng.integers(1, 17, size=300)
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, 16, 4)), counts)
+    params = MlpParams.create(4, (8, 6), seed=9)
+    weights = AggregationWeights.max_pool_init(16, noise=0.1, seed=9)
+    upstream = rng.standard_normal((counts.size, 6))
+
+    def step():
+        features, cache = descriptor_forward(params, weights, batch, "weighted")
+        grads = grad_dict(descriptor_backward(cache, upstream))
+        return [features.tobytes(), cache.sorted_values.tobytes()] + [
+            grads[name].tobytes() for name in sorted(grads)
+        ]
+
+    with _workers(1):
+        serial = step()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _workers(8):
+            for _ in range(5):
+                assert step() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_importing_pillarkit_starts_no_thread_and_no_executor():
+    code = (
+        "import sys, threading, pillarkit; "
+        "print('concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.split() == ["False", "1"]
