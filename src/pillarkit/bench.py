@@ -129,8 +129,9 @@ def _single_blas_thread():
 def _environment(blas_threads: int | None) -> dict:
     """What the timings ran on: numpy, its BLAS, and the thread counts.
 
-    ``group_workers`` is how many threads a training pass over more than one
-    fill group shares its groups across; a full-cell batch is one group.
+    ``group_workers`` is how many threads a forward or backward pass over
+    more than one fill group shares its groups across; a full-cell batch is
+    one group.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -22,6 +22,7 @@ from .autograd import run_gradient_check_suite
 from .descriptor import (
     AggregationWeights,
     MlpParams,
+    _group_workers,
     descriptor_forward,
     load_descriptor,
     set_fault_mode,
@@ -166,6 +167,8 @@ def cmd_featurize(args) -> int:
         "feature_channels": fmap.num_channels,
         "map_layout": "dense" if args.dense else "sparse",
         "map_bytes": blob.stat().st_size,
+        # the usable CPUs the forward may share its fill groups across
+        "group_workers": _group_workers(),
         "stage_s": stage_s,
         "elapsed_s": time.perf_counter() - t0,
     }

@@ -20,12 +20,13 @@ block of rows, where the padding rows of the dense sorted matrix would only
 add zero terms; a group of c-point cells uses the last c weight rows. Each
 group is embedded, sorted and combined as one unit, while its embedding is
 still in cache, which pays off when a batch has many fill levels, as a LiDAR
-scan has (about 32). An inference forward takes the groups one at a time on
-the calling thread, so it holds the fill-major input rows, the features and
-one group's arrays, never an embedding of every row. A training forward
-shares the groups across the usable CPUs (``_for_each_group``) and writes
-each layer's output into the group's rows of the fill-major activations the
-backward reads.
+scan has (about 32). Every forward shares the groups across the usable CPUs
+(``_for_each_group``). A training forward writes each layer's output into
+the group's rows of the fill-major activations the backward reads. An
+inference forward gives each share scratch arrays, allocated once and sized
+for its largest group, and works every group in slices of them, so it holds
+the fill-major input rows, the features and one scratch set per share, never
+an embedding of every row.
 """
 
 from __future__ import annotations
@@ -290,13 +291,13 @@ class FillGroup:
 
 
 def _group_workers() -> int:
-    """How many threads a multi-group training pass shares its groups across."""
+    """How many threads a pass over more than one fill group shares its groups across."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _for_each_group(fn, groups: list[FillGroup]) -> list:
+def _for_each_group(fn, groups: list[FillGroup], scratch=None) -> list:
     """``[fn(g) for g in groups]``, the groups shared across the usable CPUs.
 
     Each share gets about as many rows as the others (largest group first, to
@@ -306,11 +307,15 @@ def _for_each_group(fn, groups: list[FillGroup]) -> list:
     thread is joined before this returns; if any share failed, the error of
     the lowest-numbered one is raised here. ``fn`` may write only to its own
     group's rows, so the results are bitwise those of the serial loop as long
-    as the caller reduces them in group order.
+    as the caller reduces them in group order. With ``scratch``, the calling
+    thread makes ``scratch(share_groups)`` once per share before any share
+    starts, so the workers allocate from no heap of their own, and each share
+    passes its result to every ``fn(group, result)`` it makes.
     """
     workers = min(_group_workers(), len(groups)) if len(groups) > 1 else 1
     if workers < 2:
-        return [fn(group) for group in groups]
+        state = () if scratch is None else (scratch(groups),)
+        return [fn(group, *state) for group in groups]
     shares: list[list[int]] = [[] for _ in range(workers)]
     load = [0] * workers
     for i in sorted(range(len(groups)), key=lambda i: -groups[i].rows):
@@ -319,11 +324,12 @@ def _for_each_group(fn, groups: list[FillGroup]) -> list:
         load[share] += groups[i].rows
     results: list = [None] * len(groups)
     errors: list[BaseException | None] = [None] * workers
+    states = [() if scratch is None else (scratch([groups[i] for i in mine]),) for mine in shares]
 
     def run(share: int) -> None:
         try:
             for i in shares[share]:
-                results[i] = fn(groups[i])
+                results[i] = fn(groups[i], *states[share])
         except BaseException as exc:  # raised again on the calling thread
             errors[share] = exc
 
@@ -394,31 +400,45 @@ def _network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _network_sort(block: np.ndarray) -> np.ndarray:
-    """``np.sort(block, axis=1)`` of a (k, c, C) block by min/max on (k, C) planes.
+def _network_sort(planes: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sort (c, k, C) ``planes`` across c by min/max and stack them into ``out``, (k, c, C).
 
-    Each comparator emits its two inputs, so the values are the same bits as
-    np.sort's wherever no -0.0 or NaN can tie with a different bit pattern.
+    ``spare`` is one more (k, C) plane to write into; it and ``planes`` are
+    left in no particular order. Each comparator emits its two inputs, so the
+    values are the same bits as np.sort's wherever no -0.0 or NaN can tie
+    with a different bit pattern.
     """
-    planes = list(block.transpose(1, 0, 2).copy())
-    spare = np.empty_like(planes[0])
-    for i, j in _network(block.shape[1]):
+    planes = list(planes)
+    for i, j in _network(len(planes)):
         lo, hi = planes[i], planes[j]
         np.minimum(lo, hi, out=spare)
         np.maximum(lo, hi, out=hi)
         planes[i], spare = spare, lo
-    return np.stack(planes, axis=1)
+    return np.stack(planes, axis=1, out=out)
 
 
-def _sort_values(block: np.ndarray) -> np.ndarray:
-    """The per-channel ascending sort of a (k, c, C) block, as a new array."""
-    if _FAULT_MODE == "skip-sort":
-        return block.copy()
-    if block.shape[1] <= _NETWORK_MAX_FILL:
-        return _network_sort(block)
-    # ties carry identical bits after canonicalization, so plain quicksort
-    # yields the same value sequence as the stable sort, cheaper
-    return np.sort(block, axis=1)
+def _sort_values(
+    block: np.ndarray, planes: np.ndarray | None = None, spare: np.ndarray | None = None
+) -> np.ndarray:
+    """Sort a (k, c, C) block per channel ascending, in place, and return it.
+
+    Fills from 2 to ``_NETWORK_MAX_FILL`` go through the network, over a copy
+    of the block in the first k * c rows of ``planes`` (an (n, C) buffer) and
+    a (k, C) ``spare`` plane; both are made here if not given.
+    """
+    k, c, channels = block.shape
+    if _FAULT_MODE == "skip-sort" or c == 1:
+        return block
+    if c > _NETWORK_MAX_FILL:
+        # ties carry identical bits after canonicalization, so plain quicksort
+        # yields the same value sequence as the stable sort, cheaper
+        block.sort(axis=1)
+        return block
+    if planes is None:
+        planes, spare = np.empty((k * c, channels)), np.empty((k, channels))
+    planes = planes[: k * c].reshape(c, k, channels)
+    np.copyto(planes, block.transpose(1, 0, 2))
+    return _network_sort(planes, spare, block)
 
 
 def _sort_perm(block: np.ndarray, kind: str) -> np.ndarray:
@@ -448,15 +468,16 @@ def _source_index(group: FillGroup, embedded: np.ndarray, kind: str) -> np.ndarr
     return src
 
 
-def _combine(w_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _combine(w_rows: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Weighted sum over the sorted rows of (k, c, C) blocks of c-point cells.
 
     ``w_rows`` holds the weights of the last c rows of the dense sorted
     matrix, (c,) shared or (c, C) per channel; its padding rows are zero.
+    The (k, C) sums go into ``out`` if given.
     """
     if w_rows.ndim == 1:
-        return np.einsum("n,knc->kc", w_rows, values)
-    return np.einsum("nc,knc->kc", w_rows, values)
+        return np.einsum("n,knc->kc", w_rows, values, out=out)
+    return np.einsum("nc,knc->kc", w_rows, values, out=out)
 
 
 def sort_project(embedded: np.ndarray, valid_count: int) -> SortedFeatureMatrix:
@@ -580,12 +601,13 @@ def descriptor_forward(
     Returns (features, cache) where features is (K, C). Only occupied slots
     are computed: the P occupied rows are laid out fill-major, and each group
     of cells of equal fill level c is embedded, sorted and combined with the
-    weights of the last c sorted rows as one unit, the groups in turn for
-    inference and shared across the usable CPUs for training. The cache
-    carries the activations and sorted blocks needed for the backward pass,
-    plus each group's flat source index when the backward routes gradients
-    through it; pass ``need_cache=False`` on inference-only paths to skip it,
-    and with it every array of one row per point.
+    weights of the last c sorted rows as one unit, the groups shared across
+    the usable CPUs. The cache carries the activations and sorted blocks
+    needed for the backward pass, plus each group's flat source index when
+    the backward routes gradients through it; pass ``need_cache=False`` on
+    inference-only paths to skip it, and with it every array of one row per
+    point: each share then works its groups in place in scratch arrays
+    allocated once per call, sized for its largest group.
     """
     if kind not in DESCRIPTOR_KINDS:
         raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
@@ -602,42 +624,65 @@ def descriptor_forward(
         _check_agg_shapes(weights, n, c_out)
 
     groups, rows = _fill_major(batch)
-    outputs = embedded = None
-    if need_cache:  # each layer's fill-major (P, C_out) output, or the embedding alone
-        widths = [layer.bias.size for layer in params.layers] or [rows.shape[1]]
-        outputs = [np.empty((rows.shape[0], width)) for width in widths]
-        embedded = outputs[-1]
+    # each layer's output width, or the embedding's alone
+    widths = [layer.bias.size for layer in params.layers] or [rows.shape[1]]
 
+    def w_rows(c: int) -> np.ndarray:
+        return np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
+
+    def share_scratch(share: list[FillGroup]) -> tuple:
+        """One share's inference buffers, sized for its largest group: each
+        layer's output rows, the sort network's planes, and one row per cell,
+        the network's spare plane and then the combined features."""
+        network = [g.rows for g in share if 1 < g.count <= _NETWORK_MAX_FILL and kind != "max"]
+        return (
+            [np.empty((max(g.rows for g in share), width)) for width in widths],
+            np.empty((max(network, default=0), c_out)),
+            np.empty((max(g.cells.size for g in share), c_out)),
+        )
+
+    def infer_group(group: FillGroup, scratch: tuple) -> None:
+        layers, planes, out = scratch
+        cells, c = group.cells.size, group.count
+        into = [y[: group.rows] for y in layers]
+        # -0.0 becomes +0.0 so ties are bit-identical; with no layers this
+        # copies the batch's own rows into the scratch
+        x = np.add(_embed(params, rows[group.span], into), 0.0, out=into[-1])
+        block, out = x.reshape(cells, c, c_out), out[:cells]
+        if kind == "max":
+            np.max(block, axis=1, out=out)
+        else:
+            _combine(w_rows(c), _sort_values(block, planes, out), out)
+        features[group.cells] = out
+
+    if not need_cache:
+        features = np.empty((k, c_out))
+        _for_each_group(infer_group, groups, share_scratch)
+        return features, None
+
+    # each layer's fill-major (P, C_out) output, or the embedding alone
+    outputs = [np.empty((rows.shape[0], width)) for width in widths]
+    embedded = outputs[-1]
     # the backward routes sorted-row gradients to their rows only to feed MLP
     # layers, and the mean spreads them evenly without a permutation
-    need_perm = need_cache and bool(params.layers) and kind != "mean"
+    need_perm = bool(params.layers) and kind != "mean"
     features = np.empty((k, c_out))
 
     def forward_group(group: FillGroup) -> None:
-        c, span = group.count, group.span
-        x = _embed(params, rows[span], [y[span] for y in outputs] if need_cache else None)
-        # turns -0.0 into +0.0 so ties are bit-identical: into the cache, or in
-        # place unless the identity embedding passed the batch's own rows through
-        x = np.add(x, 0.0, out=embedded[span] if need_cache else x if params.layers else None)
-        block = x.reshape(group.cells.size, c, c_out)
+        span = group.span
+        x = _embed(params, rows[span], [y[span] for y in outputs])
+        # turns -0.0 into +0.0 so ties are bit-identical, into the cache
+        x = np.add(x, 0.0, out=embedded[span])
+        block = x.reshape(group.cells.size, group.count, c_out)
         if need_perm:
             group.src = _source_index(group, embedded, kind)
         if kind == "max":
             features[group.cells] = block.max(axis=1)
         else:
-            values = embedded.ravel().take(group.src) if need_perm else _sort_values(block)
-            w_rows = np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
-            features[group.cells] = _combine(w_rows, values)
-            if need_cache:
-                group.values = values
+            values = embedded.ravel().take(group.src) if need_perm else _sort_values(block.copy())
+            features[group.cells] = _combine(w_rows(group.count), values)
+            group.values = values
 
-    if not need_cache:
-        # one group at a time on this thread, each group's arrays freed before
-        # the next one's are made: a second thread's heap and group arrays
-        # would raise the peak memory of featurize
-        for group in groups:
-            forward_group(group)
-        return features, None
     _for_each_group(forward_group, groups)
     cache = ForwardCache(
         kind=kind,

@@ -18,6 +18,7 @@ from pillarkit import (
     write_kitti_bin,
 )
 from pillarkit.cli import main
+from pillarkit.descriptor import _group_workers
 
 
 @pytest.fixture()
@@ -128,6 +129,7 @@ def test_featurize_summary_counts_kept_points(tmp_path, small_grid_config, scan_
     # 300 points over 64 cells: every occupied cell is full at one point
     assert summary["num_cells"] > 50
     assert summary["fill_histogram"] == [summary["num_cells"]]
+    assert summary["group_workers"] == _group_workers() >= 1
     assert summary["points_kept"] == summary["num_cells"]
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pillarkit import (
     save_descriptor,
     sort_project,
 )
+from pillarkit import descriptor
 from pillarkit.descriptor import _rows_matmul, set_fault_mode
 
 
@@ -371,12 +373,21 @@ def _dense_oracle(params, weights, data, counts, kind):
     return np.einsum("nc,knc->kc", weights.values, values), values
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("channels", [1, 4])
 @pytest.mark.parametrize("embedding", ["identity", "mlp"])
 @pytest.mark.parametrize(
     "kind, mode", [("weighted", "shared"), ("weighted", "per-channel"), ("max", None), ("mean", None)]
 )
-def test_ragged_forward_matches_dense_oracle_at_every_fill_level(kind, mode, embedding, channels):
+def test_ragged_forward_matches_dense_oracle_at_every_fill_level(
+    kind, mode, embedding, channels, workers
+):
+    # every pass shares its fill groups across ``workers`` threads
+    with mock.patch.object(descriptor, "_group_workers", lambda: workers):
+        _check_against_dense_oracle(kind, mode, embedding, channels)
+
+
+def _check_against_dense_oracle(kind, mode, embedding, channels):
     rng = np.random.default_rng(40)
     n = 8
     c_in = channels if embedding == "identity" else 3

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -37,6 +38,7 @@ from pillarkit.autograd import grad_dict
 from pillarkit.descriptor import (
     _NETWORK_MAX_FILL,
     FillGroup,
+    _fill_major,
     _for_each_group,
     _network,
     _network_sort,
@@ -287,12 +289,18 @@ def _check_against_reference(seed, n, k, fill, duplicates, depth, activations, k
 # ---------------------------------------------------------------------------
 
 
+def _network_sorted(block):
+    """``np.sort(block, axis=1)`` through the compare-exchange network, as a new array."""
+    planes = block.transpose(1, 0, 2).copy()
+    return _network_sort(planes, np.empty_like(planes[0]), np.empty_like(block))
+
+
 @pytest.mark.parametrize("c", range(1, _NETWORK_MAX_FILL + 1))
 def test_network_sorts_every_zero_one_input(c):
     # the 0-1 principle: a comparator network that sorts every 0-1 input sorts all inputs
     bits = (np.arange(2**c)[:, None] >> np.arange(c)) & 1
     block = bits[:, :, None].astype(np.float64)
-    assert (np.diff(_network_sort(block), axis=1) >= 0).all()
+    assert (np.diff(_network_sorted(block), axis=1) >= 0).all()
     assert all(0 <= i < j < c for i, j in _network(c))
 
 
@@ -304,9 +312,9 @@ def test_network_equals_np_sort_bitwise_with_ties_and_zeros(c):
     ties = rng.random(block.shape) < 0.3
     block[ties] = rng.choice([-1.5, 0.25, 3.0], size=int(ties.sum()))
     block[:5] = block[:5, :1]  # cells whose points are all equal
-    assert _network_sort(block).tobytes() == np.sort(block, axis=1).tobytes()
+    assert _network_sorted(block).tobytes() == np.sort(block, axis=1).tobytes()
     view = np.concatenate([block, block])[::2]  # a non-contiguous block
-    assert _network_sort(view).tobytes() == np.sort(view, axis=1).tobytes()
+    assert _network_sorted(view).tobytes() == np.sort(view, axis=1).tobytes()
 
 
 def test_skip_sort_fault_bypasses_the_network():
@@ -378,26 +386,150 @@ def test_the_callers_errstate_applies_inside_a_worker():
         _for_each_group(fn, _groups(1, 2, 3))
 
 
+class _CountingThread(threading.Thread):
+    """A Thread that records every instance started."""
+
+    started: list = []
+
+    def start(self):
+        self.started.append(self)
+        super().start()
+
+
+def _counting_threads():
+    _CountingThread.started = []
+    return mock.patch.object(descriptor.threading, "Thread", _CountingThread)
+
+
 def test_a_training_pass_leaves_no_thread_behind():
     rng = np.random.default_rng(8)
     counts = rng.integers(1, 9, size=40)
     batch = cell_batch_from_arrays(rng.standard_normal((counts.size, 8, 3)), counts)
     params = MlpParams.create(3, (6,), seed=8)
     weights = AggregationWeights.max_pool_init(8, noise=0.1, seed=8)
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
     before = threading.active_count()
-    with _workers(2), mock.patch.object(descriptor.threading, "Thread", Thread):
+    with _workers(2), _counting_threads():
         features, cache = descriptor_forward(params, weights, batch, "weighted")
         descriptor_backward(cache, rng.standard_normal(features.shape))
+    started = _CountingThread.started
     assert len(started) == 2  # one worker for the forward, one for the backward
     assert threading.active_count() == before
     assert not any(thread.is_alive() for thread in started)
+
+
+def _scan_like_batch(seed, cells_per_level=40, n=16, c_in=3):
+    """Every fill level 1..n, ``cells_per_level`` cells each, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    counts = rng.permutation(np.repeat(np.arange(1, n + 1), cells_per_level))
+    return cell_batch_from_arrays(rng.standard_normal((counts.size, n, c_in)), counts)
+
+
+def test_an_error_in_an_inference_share_reaches_the_caller():
+    batch = _scan_like_batch(10)
+    params = MlpParams.create(3, (6,), seed=10)
+    sort_values = descriptor._sort_values
+
+    def failing(block, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("sort on a worker")
+        return sort_values(block, *args)
+
+    before = threading.active_count()
+    with _workers(2), mock.patch.object(descriptor, "_sort_values", failing), pytest.raises(
+        ValueError, match="sort on a worker"
+    ):
+        descriptor_forward(params, None, batch, "mean", need_cache=False)
+    assert threading.active_count() == before
+
+
+def test_a_one_group_inference_pass_starts_no_thread():
+    rng = np.random.default_rng(11)
+    batch = cell_batch_from_arrays(rng.standard_normal((30, 8, 3)))  # full cells: one group
+    params = MlpParams.create(3, (6,), seed=11)
+    weights = AggregationWeights.max_pool_init(8, noise=0.1, seed=11)
+    with _workers(2), _counting_threads():
+        descriptor_forward(params, weights, batch, "weighted", need_cache=False)
+    assert _CountingThread.started == []
+
+
+def test_a_multi_group_inference_pass_leaves_no_thread_behind():
+    batch = _scan_like_batch(12)
+    params = MlpParams.create(3, (6,), seed=12)
+    weights = AggregationWeights.max_pool_init(16, noise=0.1, seed=12)
+    before = threading.active_count()
+    with _workers(2), _counting_threads():
+        descriptor_forward(params, weights, batch, "weighted", need_cache=False)
+    assert len(_CountingThread.started) == 1
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in _CountingThread.started)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["weighted", "mean", "max"])
+@pytest.mark.parametrize("levels", ["one", "many"])
+@pytest.mark.parametrize("n", [_NETWORK_MAX_FILL, 20])  # the network sort and np.sort
+def test_identity_inference_leaves_the_batch_rows_alone(workers, kind, levels, n):
+    # with no layers the embedding is the batch's own rows, and a one-level
+    # batch is not gathered: canonicalizing and sorting must go to scratch
+    rng = np.random.default_rng(13)
+    counts = rng.integers(1, n + 1, size=60) if levels == "many" else np.full(60, n)
+    data = rng.standard_normal((counts.size, n, 3))
+    data[rng.random(data.shape) < 0.2] = -0.0
+    batch = cell_batch_from_arrays(data, counts)
+    before = batch.rows.tobytes()
+    weights = AggregationWeights.max_pool_init(n, noise=0.1, seed=13) if kind == "weighted" else None
+    with _workers(workers):
+        inference, _ = descriptor_forward(MlpParams([]), weights, batch, kind, need_cache=False)
+    assert batch.rows.tobytes() == before
+    features, _ = descriptor_forward(MlpParams([]), weights, batch, kind)
+    assert inference.tobytes() == features.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_max_inference_never_sorts(workers):
+    batch = _scan_like_batch(14)
+    params = MlpParams.create(3, (6,), seed=14)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the max kind sorted")
+
+    expected, _ = descriptor_forward(params, None, batch, "max")
+    with _workers(workers), mock.patch.object(descriptor, "_sort_values", no_sort), \
+            mock.patch.object(descriptor, "_network_sort", no_sort):
+        features, _ = descriptor_forward(params, None, batch, "max", need_cache=False)
+    assert features.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
+def test_inference_allocates_one_scratch_set_per_share(workers, kind):
+    # each share allocates its scratch once, sized for its largest group, and
+    # works every group in slices of it: the peak is the fill-major rows, the
+    # features and one scratch set per worker, whatever the number of groups
+    n, c_out = 32, 64
+    rng = np.random.default_rng(15)
+    counts = rng.permutation(np.repeat(np.arange(1, n + 1), 125))  # 4,000 cells
+    batch = cell_batch_from_arrays(rng.standard_normal((counts.size, n, 4)), counts)
+    params = MlpParams.create(4, (c_out,), seed=15)
+    weights = AggregationWeights.max_pool_init(n, noise=0.1, seed=15) if kind == "weighted" else None
+    groups, rows = _fill_major(batch)
+    network = [g.rows for g in groups if 1 < g.count <= _NETWORK_MAX_FILL and kind != "max"]
+    scratch = 8 * c_out * (
+        max(g.rows for g in groups)  # the embedding
+        + max(network, default=0)  # the network's planes
+        + max(g.cells.size for g in groups)  # its spare plane, then the combined rows
+    )
+    features = 8 * counts.size * c_out
+    slack = 256 << 10  # index arrays of one entry per cell, interpreter objects
+    bound = rows.nbytes + features + workers * scratch + slack
+    with _workers(workers):
+        tracemalloc.start()
+        try:
+            descriptor_forward(params, weights, batch, kind, need_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_more_workers_than_cores_switching_often_give_the_serial_bits():
@@ -413,7 +545,12 @@ def test_more_workers_than_cores_switching_often_give_the_serial_bits():
     def step():
         features, cache = descriptor_forward(params, weights, batch, "weighted")
         grads = grad_dict(descriptor_backward(cache, upstream))
-        return [features.tobytes(), cache.sorted_values.tobytes()] + [
+        inference = [
+            descriptor_forward(params, weights if kind == "weighted" else None, batch, kind,
+                               need_cache=False)[0].tobytes()
+            for kind in ("weighted", "max")
+        ]
+        return [features.tobytes(), cache.sorted_values.tobytes()] + inference + [
             grads[name].tobytes() for name in sorted(grads)
         ]
 
