@@ -48,8 +48,6 @@ from .gridding import (
 )
 from .pointcloud import (
     PointCloud,
-    SyntheticCloudSpec,
-    generate_synthetic,
     load_kitti_bin,
     write_kitti_bin,
 )
@@ -58,7 +56,6 @@ from .toy import (
     ToyTaskSpec,
     TrainConfig,
     build_toy_dataset,
-    quantile_threshold_oracle,
     train_descriptor,
 )
 
@@ -82,7 +79,6 @@ __all__ = [
     "PillarkitError",
     "PointCloud",
     "SortedFeatureMatrix",
-    "SyntheticCloudSpec",
     "TieError",
     "ToyTaskSpec",
     "TrainConfig",
@@ -98,12 +94,10 @@ __all__ = [
     "descriptor_backward",
     "descriptor_forward",
     "finite_difference_check",
-    "generate_synthetic",
     "load_descriptor",
     "load_kitti_bin",
     "mlp_forward",
     "optimizer_step",
-    "quantile_threshold_oracle",
     "run_gradient_check_suite",
     "save_descriptor",
     "scatter_to_grid",

@@ -140,7 +140,8 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     if not layers:
         return Gradients([], agg_grad)
 
-    order = np.concatenate([rows for _, rows in parts])
+    # a batch of no cells has no parts, and its gradients are zero
+    order = np.concatenate([np.empty(0, dtype=np.intp)] + [rows for _, rows in parts])
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
     for i in reversed(range(len(layers))):
         layer, x, y = layers[i], cache.activations[i], cache.activations[i + 1]
@@ -225,15 +226,6 @@ def squared_error_loss(target: np.ndarray):
     return loss_fn
 
 
-def linear_sum_loss():
-    """sum(features): linear, so FD error is pure rounding."""
-
-    def loss_fn(features: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(np.sum(features)), np.ones_like(features)
-
-    return loss_fn
-
-
 def is_tie_free(
     params: MlpParams,
     batch: CellBatch,
@@ -250,8 +242,6 @@ def is_tie_free(
     they stay at zero under the nudge and carry no gradient either way.
     """
     _, cache = descriptor_forward(params, None, batch, kind="max")
-    if cache is None:  # no cells
-        return True
     slack = margin * step
     final_relu = bool(params.layers) and params.layers[-1].activation == "relu"
     for group in cache.groups:

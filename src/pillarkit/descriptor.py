@@ -20,8 +20,9 @@ block of rows, where the padding rows of the dense sorted matrix would only
 add zero terms; a group of c-point cells uses the last c weight rows. Each
 group is embedded, sorted and combined as one unit, while its embedding is
 still in cache, which pays off when a batch has many fill levels, as a LiDAR
-scan has (about 32). Every forward shares the groups across the usable CPUs
-(``_for_each_group``). A training forward writes each layer's output into
+scan has (about 32). Every forward runs one group function, the groups
+shared across the usable CPUs (``_for_each_group``); ``need_cache`` chooses
+only where it writes. A training forward writes each layer's output into
 the group's rows of the fill-major activations the backward reads. An
 inference forward gives each share scratch arrays, allocated once and sized
 for its largest group, and works every group in slices of them, so it holds
@@ -312,6 +313,8 @@ def _for_each_group(fn, groups: list[FillGroup], scratch=None) -> list:
     starts, so the workers allocate from no heap of their own, and each share
     passes its result to every ``fn(group, result)`` it makes.
     """
+    if not groups:  # a batch of no cells
+        return []
     workers = min(_group_workers(), len(groups)) if len(groups) > 1 else 1
     if workers < 2:
         state = () if scratch is None else (scratch(groups),)
@@ -417,14 +420,12 @@ def _network_sort(planes: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.
     return np.stack(planes, axis=1, out=out)
 
 
-def _sort_values(
-    block: np.ndarray, planes: np.ndarray | None = None, spare: np.ndarray | None = None
-) -> np.ndarray:
+def _sort_values(block: np.ndarray, planes: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Sort a (k, c, C) block per channel ascending, in place, and return it.
 
     Fills from 2 to ``_NETWORK_MAX_FILL`` go through the network, over a copy
     of the block in the first k * c rows of ``planes`` (an (n, C) buffer) and
-    a (k, C) ``spare`` plane; both are made here if not given.
+    a (k, C) ``spare`` plane.
     """
     k, c, channels = block.shape
     if _FAULT_MODE == "skip-sort" or c == 1:
@@ -434,8 +435,6 @@ def _sort_values(
         # yields the same value sequence as the stable sort, cheaper
         block.sort(axis=1)
         return block
-    if planes is None:
-        planes, spare = np.empty((k * c, channels)), np.empty((k, channels))
     planes = planes[: k * c].reshape(c, k, channels)
     np.copyto(planes, block.transpose(1, 0, 2))
     return _network_sort(planes, spare, block)
@@ -614,8 +613,6 @@ def descriptor_forward(
     counts = batch.valid_count
     k, n = batch.num_cells, batch.capacity
     c_out = params.output_channels(batch.num_channels)
-    if k == 0:
-        return np.zeros((0, c_out)), None
     if (counts < 1).any() or (counts > n).any():
         raise ValidationError(f"every materialized cell must hold 1 to {n} points")
     if kind == "weighted":
@@ -626,64 +623,56 @@ def descriptor_forward(
     groups, rows = _fill_major(batch)
     # each layer's output width, or the embedding's alone
     widths = [layer.bias.size for layer in params.layers] or [rows.shape[1]]
+    # a training forward writes each layer's fill-major (P, C_out) output
+    outputs = [np.empty((rows.shape[0], width)) for width in widths] if need_cache else []
+    # the backward routes sorted-row gradients to their rows only to feed MLP
+    # layers, and the mean spreads them evenly without a permutation
+    need_perm = need_cache and bool(params.layers) and kind != "mean"
+    features = np.empty((k, c_out))
 
     def w_rows(c: int) -> np.ndarray:
         return np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
 
     def share_scratch(share: list[FillGroup]) -> tuple:
-        """One share's inference buffers, sized for its largest group: each
-        layer's output rows, the sort network's planes, and one row per cell,
-        the network's spare plane and then the combined features."""
-        network = [g.rows for g in share if 1 < g.count <= _NETWORK_MAX_FILL and kind != "max"]
+        """One share's buffers, sized for its largest group: each layer's
+        output rows (in training, the cache's arrays), the sort network's
+        planes, and one row per cell, the network's spare plane and then the
+        combined features."""
+        # the network sorts no block of the max kind, nor one that training gathers
+        sorts = kind != "max" and not need_perm
+        networked = [g.rows for g in share if sorts and 1 < g.count <= _NETWORK_MAX_FILL]
         return (
-            [np.empty((max(g.rows for g in share), width)) for width in widths],
-            np.empty((max(network, default=0), c_out)),
+            outputs if need_cache else [np.empty((max(g.rows for g in share), w)) for w in widths],
+            np.empty((max(networked, default=0), c_out)),
             np.empty((max(g.cells.size for g in share), c_out)),
         )
 
-    def infer_group(group: FillGroup, scratch: tuple) -> None:
+    def run_group(group: FillGroup, scratch: tuple) -> None:
         layers, planes, out = scratch
         cells, c = group.cells.size, group.count
-        into = [y[: group.rows] for y in layers]
+        # the group's rows of the cache, or the first rows of the scratch
+        into = [y[group.span if need_cache else slice(group.rows)] for y in layers]
         # -0.0 becomes +0.0 so ties are bit-identical; with no layers this
-        # copies the batch's own rows into the scratch
+        # copies the batch's own rows into the cache or the scratch
         x = np.add(_embed(params, rows[group.span], into), 0.0, out=into[-1])
         block, out = x.reshape(cells, c, c_out), out[:cells]
+        if need_perm:
+            group.src = _source_index(group, outputs[-1], kind)
         if kind == "max":
             np.max(block, axis=1, out=out)
         else:
-            _combine(w_rows(c), _sort_values(block, planes, out), out)
+            if need_perm:
+                values = outputs[-1].ravel().take(group.src)
+            else:  # the cache keeps the embedding, so training sorts a copy
+                values = _sort_values(block.copy() if need_cache else block, planes, out)
+            _combine(w_rows(c), values, out)
+            if need_cache:
+                group.values = values
         features[group.cells] = out
 
+    _for_each_group(run_group, groups, share_scratch)
     if not need_cache:
-        features = np.empty((k, c_out))
-        _for_each_group(infer_group, groups, share_scratch)
         return features, None
-
-    # each layer's fill-major (P, C_out) output, or the embedding alone
-    outputs = [np.empty((rows.shape[0], width)) for width in widths]
-    embedded = outputs[-1]
-    # the backward routes sorted-row gradients to their rows only to feed MLP
-    # layers, and the mean spreads them evenly without a permutation
-    need_perm = bool(params.layers) and kind != "mean"
-    features = np.empty((k, c_out))
-
-    def forward_group(group: FillGroup) -> None:
-        span = group.span
-        x = _embed(params, rows[span], [y[span] for y in outputs])
-        # turns -0.0 into +0.0 so ties are bit-identical, into the cache
-        x = np.add(x, 0.0, out=embedded[span])
-        block = x.reshape(group.cells.size, group.count, c_out)
-        if need_perm:
-            group.src = _source_index(group, embedded, kind)
-        if kind == "max":
-            features[group.cells] = block.max(axis=1)
-        else:
-            values = embedded.ravel().take(group.src) if need_perm else _sort_values(block.copy())
-            features[group.cells] = _combine(w_rows(group.count), values)
-            group.values = values
-
-    _for_each_group(forward_group, groups)
     cache = ForwardCache(
         kind=kind,
         params=params,

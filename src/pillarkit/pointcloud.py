@@ -1,4 +1,4 @@
-"""Point cloud containers, KITTI-style binary I/O, and synthetic cloud generators."""
+"""Point cloud containers and KITTI-style binary I/O."""
 
 from __future__ import annotations
 
@@ -7,15 +7,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .documents import Document, Seed
 from .errors import FileFormatError, NonFiniteError, ValidationError
 
 SPATIAL_CHANNELS = ("x", "y", "z")
 DEFAULT_CHANNELS = ("x", "y", "z", "reflectance")
 
 KITTI_RECORD_BYTES = 16  # 4 channels, little-endian float32 each
-
-GENERATOR_KINDS = ("uniform-box", "gaussian-clusters", "equal-extremes-pair")
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -99,110 +96,3 @@ def write_kitti_bin(cloud: PointCloud, path: str | Path) -> None:
     if not np.isfinite(narrowed).all():
         raise ValidationError("cloud contains values that overflow single precision")
     Path(path).write_bytes(narrowed.tobytes(order="C"))
-
-
-@dataclass
-class SyntheticCloudSpec(Document):
-    """Recipe for a deterministic synthetic point cloud.
-
-    ``extent_min``/``extent_max`` bound the spatial box in meters. The
-    ``label`` selects the class for the equal-extremes-pair generator and is
-    carried through unused otherwise. ``clusters``/``sigma``/``centers`` only
-    apply to the gaussian-clusters kind.
-    """
-
-    kind: str
-    extent_min: tuple[float, float, float]
-    extent_max: tuple[float, float, float]
-    count: int
-    seed: Seed
-    label: int | None = None
-    clusters: int = 3
-    sigma: float = 0.1
-    centers: list[tuple[float, float, float]] | None = None
-    edge_band: float = 0.1  # equal-extremes interior band, fraction of extent
-
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise ValidationError(f"unknown generator kind {self.kind!r}")
-        self.extent_min = tuple(float(v) for v in self.extent_min)
-        self.extent_max = tuple(float(v) for v in self.extent_max)
-        if len(self.extent_min) != 3 or len(self.extent_max) != 3:
-            raise ValidationError("extent must have 3 spatial axes")
-        if not all(hi > lo for lo, hi in zip(self.extent_min, self.extent_max)):
-            raise ValidationError("extent box must have strictly positive edge lengths")
-        if self.count < 1:
-            raise ValidationError("point count must be >= 1")
-        if not 0.0 <= self.edge_band <= 1.0:  # NaN fails too
-            raise ValidationError(f"edge_band must be in [0, 1], got {self.edge_band}")
-        if self.kind == "gaussian-clusters":
-            if self.clusters < 1:
-                raise ValidationError("clusters must be >= 1")
-            if self.sigma < 0:
-                raise ValidationError("sigma must be >= 0")
-        if self.kind == "equal-extremes-pair":
-            if self.count < 2:
-                raise ValidationError("equal-extremes-pair needs count >= 2 for the anchors")
-            if self.label not in (None, 0, 1):
-                raise ValidationError("equal-extremes-pair label must be 0 or 1")
-
-
-def generate_synthetic(spec: SyntheticCloudSpec) -> PointCloud:
-    """Generate a 3-channel (x, y, z) cloud deterministically from ``spec``.
-
-    All points lie inside the extent box. The equal-extremes-pair kind places
-    two anchor points exactly at the box corners so that per-channel min and
-    max are identical for label 0 and label 1 under the same seed, while the
-    interior points are uniform (label 0) or piled near the extremes (label 1).
-    """
-    lo = np.asarray(spec.extent_min)
-    hi = np.asarray(spec.extent_max)
-
-    if spec.kind == "uniform-box":
-        rng = np.random.default_rng(spec.seed)
-        pts = rng.uniform(lo, hi, size=(spec.count, 3))
-    elif spec.kind == "gaussian-clusters":
-        rng = np.random.default_rng(spec.seed)
-        if spec.centers is not None:
-            centers = np.asarray(spec.centers, dtype=np.float64)
-            if centers.shape != (spec.clusters, 3):
-                raise ValidationError(
-                    f"expected {spec.clusters} cluster centers with 3 coords, got {centers.shape}"
-                )
-        else:
-            centers = rng.uniform(lo, hi, size=(spec.clusters, 3))
-        which = rng.integers(spec.clusters, size=spec.count)
-        pts = centers[which] + spec.sigma * rng.standard_normal((spec.count, 3))
-        np.clip(pts, lo, hi, out=pts)
-    else:  # equal-extremes-pair
-        label = spec.label or 0
-        rng = np.random.default_rng([spec.seed, label])
-        interior = _equal_extremes_interior(rng, spec.count - 2, lo, hi, label, spec.edge_band)
-        pts = np.vstack([lo[None, :], hi[None, :], interior])
-
-    return PointCloud(pts, SPATIAL_CHANNELS, source=f"synthetic:{spec.kind}:seed={spec.seed}")
-
-
-def _equal_extremes_interior(
-    rng: np.random.Generator,
-    count: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    label: int,
-    edge_band: float,
-) -> np.ndarray:
-    """Interior points for the equal-extremes construction.
-
-    Label 0 draws uniformly over the box; label 1 draws each coordinate inside
-    a narrow band next to either extreme, so the extremes match label 0 but
-    the interior order statistics do not.
-    """
-    dims = lo.shape[0]
-    if count == 0:
-        return np.empty((0, dims))
-    if label == 0:
-        return rng.uniform(lo, hi, size=(count, dims))
-    width = hi - lo
-    side = rng.integers(2, size=(count, dims))
-    offset = rng.uniform(0.0, edge_band, size=(count, dims)) * width
-    return np.where(side == 0, lo + offset, hi - offset)

@@ -40,7 +40,6 @@ from .descriptor import (
 from .documents import Document, Seed, typed
 from .errors import DivergenceError, FileFormatError, NonFiniteError, ValidationError
 from .gridding import cell_batch_from_arrays
-from .pointcloud import _equal_extremes_interior
 
 TOY_TASKS = ("equal-extremes", "quantile-regression")
 
@@ -146,26 +145,27 @@ def _build_equal_extremes_cells(spec: ToyTaskSpec) -> tuple[np.ndarray, np.ndarr
     return cells, labels
 
 
-def quantile_spread_scores(cells: np.ndarray) -> np.ndarray:
-    """Direct-scan statistic: normalized interquartile spread, channel-averaged.
+def _equal_extremes_interior(
+    rng: np.random.Generator,
+    count: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    label: int,
+    edge_band: float,
+) -> np.ndarray:
+    """Interior points for the equal-extremes construction.
 
-    Uniform interiors score near 0.5; extreme-piled interiors score near 1.
-    Uses only order statistics of the raw cells (no descriptor involved).
+    Label 0 draws uniformly over the box; label 1 draws each coordinate inside
+    a narrow band next to either extreme, so the extremes match label 0 but
+    the interior order statistics do not.
     """
-    q25, q75 = np.quantile(cells, [0.25, 0.75], axis=1)  # (K, C) each
-    lo = cells.min(axis=1)
-    hi = cells.max(axis=1)
-    return ((q75 - q25) / (hi - lo)).mean(axis=1)
-
-
-def quantile_threshold_oracle(cells: np.ndarray, threshold: float = 0.66) -> np.ndarray:
-    """Label prediction from the spread statistic alone.
-
-    The default threshold sits in the empirical gap between the class score
-    distributions (uniform interiors top out near 0.63, extreme-piled ones
-    start near 0.69 at the default sizes).
-    """
-    return (quantile_spread_scores(cells) > threshold).astype(np.int64)
+    dims = lo.shape[0]
+    if label == 0:
+        return rng.uniform(lo, hi, size=(count, dims))
+    width = hi - lo
+    side = rng.integers(2, size=(count, dims))
+    offset = rng.uniform(0.0, edge_band, size=(count, dims)) * width
+    return np.where(side == 0, lo + offset, hi - offset)
 
 
 # the TrainConfig fields that define the model and the optimizer whose state a

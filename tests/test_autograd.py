@@ -6,12 +6,15 @@ import pytest
 
 from pillarkit import (
     AggregationWeights,
+    GridSpec,
     MlpLayer,
     MlpParams,
     NonFiniteError,
     OptimizerState,
+    PointCloud,
     TieError,
     ValidationError,
+    build_cell_batch,
     cell_batch_from_arrays,
     descriptor_backward,
     descriptor_forward,
@@ -23,10 +26,19 @@ from pillarkit import descriptor
 from pillarkit.autograd import (
     compare_gradients,
     grad_dict,
-    linear_sum_loss,
+    is_tie_free,
     param_dict,
     squared_error_loss,
 )
+
+
+def linear_sum_loss():
+    """sum(features): linear, so the finite-difference error is pure rounding."""
+
+    def loss_fn(features: np.ndarray) -> tuple[float, np.ndarray]:
+        return float(np.sum(features)), np.ones_like(features)
+
+    return loss_fn
 
 
 def make_random_setup(seed, k=2, n=4, c_in=3, widths=(5, 3), counts=None, activation="relu"):
@@ -248,6 +260,26 @@ def test_backward_requires_cache_and_matching_shapes():
     _, cache = descriptor_forward(params, w, batch, "weighted")
     with pytest.raises(ValidationError):
         descriptor_backward(cache, np.zeros((99, 3)))
+
+
+@pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
+@pytest.mark.parametrize("widths", [(), (5, 3)], ids=["identity", "mlp"])
+def test_backward_on_no_cells_gives_zero_gradients(kind, widths):
+    # the scan's one point lies outside the grid, so it bins to no cells
+    spec = GridSpec(mode="pillar", range_min=(0.0, 0.0, -1.0), range_max=(4.0, 4.0, 1.0),
+                    cell_size=(1.0, 1.0, 2.0), capacity=4, max_cells=16, decorate=False)
+    batch = build_cell_batch(PointCloud(np.array([[9.0, 9.0, 0.0, 0.5]])), spec)
+    assert batch.num_cells == 0
+    params = MlpParams.create(batch.num_channels, widths, seed=0)
+    w = AggregationWeights.max_pool_init(spec.capacity) if kind == "weighted" else None
+    features, cache = descriptor_forward(params, w, batch, kind)
+    assert features.shape == (0, params.output_channels(4)) and cache.groups == []
+    assert is_tie_free(params, batch, 1e-5)
+    grads = grad_dict(descriptor_backward(cache, np.ones_like(features)))
+    expected = param_dict(params, w)
+    assert list(grads) == list(expected)
+    for name, value in expected.items():
+        assert grads[name].shape == value.shape and not grads[name].any()
 
 
 def _shuffle_and_backward(params, w, batch, rng):

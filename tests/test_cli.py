@@ -449,6 +449,27 @@ def test_featurize_checkpoint_with_short_weight_is_io_error(tmp_path, small_grid
     assert code == 3
 
 
+def test_featurize_config_checkpoint_is_a_path_or_null(
+    tmp_path, small_grid_config, scan_file, capsys
+):
+    def featurize(out: str, **descriptor) -> int:
+        config = json.loads(small_grid_config.read_text())
+        config["descriptor"].update(descriptor)
+        cfg = tmp_path / f"{out}.json"
+        cfg.write_text(json.dumps(config))
+        return main(["featurize", "--input", str(scan_file), "--config", str(cfg),
+                     "--out", str(tmp_path / out)])
+
+    assert featurize("number", checkpoint=5) == 2
+    assert "descriptor.checkpoint" in capsys.readouterr().err
+    # a null checkpoint builds the same fresh descriptor as no checkpoint key
+    assert featurize("null", checkpoint=None) == 0
+    assert featurize("unset") == 0
+    assert (tmp_path / "null" / "featuremap.bin").read_bytes() == (
+        tmp_path / "unset" / "featuremap.bin"
+    ).read_bytes()
+
+
 def test_train_toy_writes_outputs_for_both_kinds(tmp_path, small_grid_config):
     for kind in ("weighted", "max"):
         out = tmp_path / kind

@@ -303,7 +303,9 @@ def test_descriptor_empty_batch_returns_empty_features():
     params = MlpParams.create(3, (4,), seed=0)
     features, cache = descriptor_forward(params, None, empty, "max")
     assert features.shape == (0, 4)
-    assert cache is None
+    assert cache.groups == [] and cache.embedded.shape == (0, 4)
+    features, cache = descriptor_forward(params, None, empty, "max", need_cache=False)
+    assert features.shape == (0, 4) and cache is None
 
 
 def test_descriptor_rejects_fill_counts_outside_capacity():

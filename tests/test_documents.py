@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -9,18 +10,25 @@ from pillarkit import (
     FileFormatError,
     GridSpec,
     OptimizerState,
-    SyntheticCloudSpec,
     ToyTaskSpec,
     TrainConfig,
     ValidationError,
 )
+from pillarkit.documents import Document
+
+
+@dataclass
+class Optionals(Document):
+    """``X | None`` fields, which the codec reads as None or as X."""
+
+    count: int | None = None
+    centers: list[tuple[float, float, float]] | None = None
+
 
 VALID = [
     GridSpec.kitti_pillar_defaults(),
-    SyntheticCloudSpec(
-        kind="gaussian-clusters", extent_min=(0, 0, 0), extent_max=(1, 2, 3), count=10, seed=2,
-        clusters=1, centers=[(0.5, 0.5, 0.5)],
-    ),
+    Optionals(count=10, centers=[(0.5, 0.5, 0.5)]),
+    Optionals(),
     ToyTaskSpec(),
     TrainConfig(mlp_widths=(4,)),
     BenchConfig(),

@@ -1,4 +1,3 @@
-import json
 import struct
 
 import numpy as np
@@ -8,9 +7,7 @@ from pillarkit import (
     FileFormatError,
     NonFiniteError,
     PointCloud,
-    SyntheticCloudSpec,
     ValidationError,
-    generate_synthetic,
     load_kitti_bin,
     write_kitti_bin,
 )
@@ -91,97 +88,6 @@ def test_roundtrip_random_clouds(tmp_path):
         write_kitti_bin(cloud, path)
         back = load_kitti_bin(path)
         np.testing.assert_array_equal(back.points, pts)
-
-
-def test_uniform_box_deterministic_and_contained():
-    spec = SyntheticCloudSpec(
-        kind="uniform-box", extent_min=(0, 0, 0), extent_max=(1, 1, 1), count=10, seed=7
-    )
-    a = generate_synthetic(spec)
-    b = generate_synthetic(spec)
-    assert a.points.tobytes() == b.points.tobytes()
-    assert a.num_points == 10
-    assert (a.points >= 0).all() and (a.points <= 1).all()
-
-
-def test_equal_extremes_pair_shares_extremes():
-    # per-channel min/max computed by direct scan must match across classes
-    kwargs = dict(
-        kind="equal-extremes-pair",
-        extent_min=(-2, 0, 1),
-        extent_max=(3, 4, 2),
-        count=50,
-        seed=11,
-    )
-    c0 = generate_synthetic(SyntheticCloudSpec(label=0, **kwargs))
-    c1 = generate_synthetic(SyntheticCloudSpec(label=1, **kwargs))
-    np.testing.assert_array_equal(c0.points.min(axis=0), c1.points.min(axis=0))
-    np.testing.assert_array_equal(c0.points.max(axis=0), c1.points.max(axis=0))
-    np.testing.assert_array_equal(c0.points.min(axis=0), [-2, 0, 1])
-    np.testing.assert_array_equal(c0.points.max(axis=0), [3, 4, 2])
-
-
-def test_gaussian_sigma_zero_collapses_to_center():
-    spec = SyntheticCloudSpec(
-        kind="gaussian-clusters",
-        extent_min=(-1, -1, -1),
-        extent_max=(1, 1, 1),
-        count=20,
-        seed=3,
-        clusters=1,
-        sigma=0.0,
-        centers=[(0.0, 0.0, 0.0)],
-    )
-    cloud = generate_synthetic(spec)
-    np.testing.assert_array_equal(cloud.points, np.zeros((20, 3)))
-
-
-def test_gaussian_points_stay_in_box():
-    spec = SyntheticCloudSpec(
-        kind="gaussian-clusters",
-        extent_min=(0, 0, 0),
-        extent_max=(1, 2, 3),
-        count=500,
-        seed=5,
-        sigma=5.0,
-    )
-    cloud = generate_synthetic(spec)
-    assert (cloud.points >= [0, 0, 0]).all()
-    assert (cloud.points <= [1, 2, 3]).all()
-
-
-def test_spec_json_roundtrip():
-    spec = SyntheticCloudSpec(
-        kind="gaussian-clusters",
-        extent_min=(0, 0, 0),
-        extent_max=(1, 1, 1),
-        count=10,
-        seed=2,
-        clusters=2,
-        sigma=0.3,
-    )
-    back = SyntheticCloudSpec.from_doc(json.loads(json.dumps(spec.to_doc())))
-    assert back == spec
-    assert generate_synthetic(back).points.tobytes() == generate_synthetic(spec).points.tobytes()
-
-
-def test_spec_validation():
-    with pytest.raises(ValidationError):
-        SyntheticCloudSpec(kind="nope", extent_min=(0, 0, 0), extent_max=(1, 1, 1), count=1, seed=0)
-    with pytest.raises(ValidationError):
-        SyntheticCloudSpec(
-            kind="uniform-box", extent_min=(0, 0, 0), extent_max=(0, 1, 1), count=1, seed=0
-        )
-    with pytest.raises(ValidationError):
-        SyntheticCloudSpec(
-            kind="uniform-box", extent_min=(0, 0, 0), extent_max=(1, 1, 1), count=0, seed=0
-        )
-    for band in (2.0, -0.1, float("nan")):
-        with pytest.raises(ValidationError, match="edge_band"):
-            SyntheticCloudSpec(
-                kind="equal-extremes-pair", extent_min=(0, 0, 0), extent_max=(1, 1, 1), count=4,
-                seed=0, edge_band=band,
-            )
 
 
 def test_cloud_validation():
