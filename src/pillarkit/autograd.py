@@ -14,6 +14,7 @@ sequential fold.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -226,23 +227,24 @@ def squared_error_loss(target: np.ndarray):
     return loss_fn
 
 
-def is_tie_free(
-    params: MlpParams,
-    batch: CellBatch,
-    step: float,
-    margin: float = 10.0,
-) -> bool:
+FD_STEP = 1e-5  # the central-difference step, relative to max(1, |theta|)
+# the gap, in finite-difference steps, that keeps sorted values and ReLU
+# pre-activations from crossing under a +-step nudge
+TIE_MARGIN = 10.0
+
+
+def is_tie_free(params: MlpParams, batch: CellBatch, step: float) -> bool:
     """True if the sort permutation is locally constant under +-step nudges.
 
     Requires every pair of valid embedded values within a channel to differ by
-    at least ``margin * step``, and keeps ReLU pre-activations away from their
-    kink by the same margin (recomputed from each layer's cached input) so
-    central differences never straddle one. Exact zero-zero ties are allowed
-    under a final ReLU: the pre-activation margin pins those slots dead, so
-    they stay at zero under the nudge and carry no gradient either way.
+    at least ``TIE_MARGIN * step``, and keeps ReLU pre-activations away from
+    their kink by the same margin (recomputed from each layer's cached input)
+    so central differences never straddle one. Exact zero-zero ties are
+    allowed under a final ReLU: the pre-activation margin pins those slots
+    dead, so they stay at zero under the nudge and carry no gradient either way.
     """
     _, cache = descriptor_forward(params, None, batch, kind="max")
-    slack = margin * step
+    slack = TIE_MARGIN * step
     final_relu = bool(params.layers) and params.layers[-1].activation == "relu"
     for group in cache.groups:
         vals = np.sort(group.block(cache.embedded), axis=1)
@@ -265,7 +267,7 @@ def compare_gradients(
     batch: CellBatch,
     loss_fn,
     kind: str = "weighted",
-    step: float = 1e-5,
+    step: float = FD_STEP,
     tolerance: float = 1e-5,
     max_per_group: int | None = None,
     rng: np.random.Generator | None = None,
@@ -273,21 +275,20 @@ def compare_gradients(
     """Central-difference sweep of every (or a sampled subset of) scalar.
 
     The step for scalar theta is ``step * max(1, |theta|)`` and the relative
-    error denominator is ``max(|analytic|, |numeric|, 1e-12)``.
+    error denominator is ``max(|analytic|, |numeric|, 1e-12)``. The inputs
+    must be tie-free at ``step`` (see :func:`is_tie_free`); the caller checks.
+    The sweep nudges a private copy of the parameters in place, one scalar at
+    a time, so ``params`` and ``weights`` are never written.
     """
-    if not is_tie_free(params, batch, step):
-        raise TieError("inputs are not tie-free at the requested step size")
-
+    params, weights = copy.deepcopy((params, weights))
     base = param_dict(params, weights)
     for name in analytic:
         if name not in base or analytic[name].shape != base[name].shape:
             raise ValidationError(f"analytic gradient group {name!r} does not match parameters")
 
-    def loss_at(values: dict[str, np.ndarray]) -> float:
-        p, w = rebuild_from_dict(values, params, weights)
-        features, _ = descriptor_forward(p, w, batch, kind=kind, need_cache=False)
-        loss, _ = loss_fn(features)
-        return loss
+    def loss() -> float:
+        features, _ = descriptor_forward(params, weights, batch, kind=kind, need_cache=False)
+        return loss_fn(features)[0]
 
     groups: dict[str, float] = {}
     checked: dict[str, int] = {}
@@ -299,12 +300,13 @@ def compare_gradients(
             flat_indices = np.sort(rng.choice(theta.size, size=max_per_group, replace=False))
         worst = 0.0
         for idx in flat_indices:
-            h = step * max(1.0, abs(theta.flat[idx]))
-            bumped = {k: (v.copy() if k == name else v) for k, v in base.items()}
-            bumped[name].flat[idx] = theta.flat[idx] + h
-            loss_plus = loss_at(bumped)
-            bumped[name].flat[idx] = theta.flat[idx] - h
-            loss_minus = loss_at(bumped)
+            value = theta.flat[idx]
+            h = step * max(1.0, abs(value))
+            theta.flat[idx] = value + h
+            loss_plus = loss()
+            theta.flat[idx] = value - h
+            loss_minus = loss()
+            theta.flat[idx] = value
             numeric = (loss_plus - loss_minus) / (2.0 * h)
             a = float(analytic[name].flat[idx])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
@@ -322,26 +324,20 @@ def finite_difference_check(
     batch: CellBatch,
     loss_fn,
     kind: str = "weighted",
-    step: float = 1e-5,
+    step: float = FD_STEP,
     tolerance: float = 1e-5,
     max_per_group: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
     """Check descriptor_backward against central finite differences."""
+    if not is_tie_free(params, batch, step):
+        raise TieError("inputs are not tie-free at the requested step size")
     features, cache = descriptor_forward(params, weights, batch, kind=kind, need_cache=True)
     _, upstream = loss_fn(features)
     analytic = grad_dict(descriptor_backward(cache, upstream))
     return compare_gradients(
-        analytic,
-        params,
-        weights,
-        batch,
-        loss_fn,
-        kind=kind,
-        step=step,
-        tolerance=tolerance,
-        max_per_group=max_per_group,
-        rng=rng,
+        analytic, params, weights, batch, loss_fn, kind=kind, step=step, tolerance=tolerance,
+        max_per_group=max_per_group, rng=rng,
     )
 
 
@@ -349,29 +345,28 @@ def finite_difference_check(
 # this magnitude (but above exact zero) the relative-error metric is noise
 FD_RESOLUTION_FLOOR = 1e-4
 EXACT_ZERO_FLOOR = 1e-12
+MAX_ATTEMPTS = 40  # draws per configuration before the suite gives up on ties
 
 
 def run_gradient_check_suite(
     num_configs: int = 100,
     seed: int = 0,
-    kind: str = "weighted",
-    step: float = 1e-5,
     tolerance: float = 1e-5,
-    max_attempts: int = 40,
 ) -> list[GradCheckReport]:
     """FD-check ``num_configs`` random small descriptors on tie-free inputs.
 
     Each configuration draws its own sizes (N in 3..8, C in 2..8, depth 1-2),
-    parameters, and cells. Configurations are redrawn, like ties, when inputs
-    tie at the sort or when a gradient entry falls between exact zero and the
-    finite-difference resolution floor, where central differences cannot
-    support a relative comparison at double precision.
+    parameters, and cells, and checks the weighted kind at ``FD_STEP``.
+    Configurations are redrawn, like ties, when inputs tie at the sort or when
+    a gradient entry falls between exact zero and the finite-difference
+    resolution floor, where central differences cannot support a relative
+    comparison at double precision.
     """
     if num_configs < 1:
         raise ValidationError("num_configs must be >= 1")
     reports = []
     for i in range(num_configs):
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             rng = np.random.default_rng([seed, i, attempt])
             n = int(rng.integers(3, 9))
             c_in = int(rng.integers(2, 9))
@@ -389,12 +384,12 @@ def run_gradient_check_suite(
             data = rng.uniform(-1.0, 1.0, size=(k, n, c_in))
             counts = rng.integers(1, n + 1, size=k)
             batch = cell_batch_from_arrays(data, counts)
-            if not is_tie_free(params, batch, step):
+            if not is_tie_free(params, batch, FD_STEP):
                 continue
             target = rng.standard_normal((k, params.output_channels(c_in)))
             loss_fn = squared_error_loss(target)
 
-            features, cache = descriptor_forward(params, weights, batch, kind=kind)
+            features, cache = descriptor_forward(params, weights, batch)
             _, upstream = loss_fn(features)
             analytic = grad_dict(descriptor_backward(cache, upstream))
             if any(
@@ -404,20 +399,11 @@ def run_gradient_check_suite(
                 continue
 
             reports.append(
-                compare_gradients(
-                    analytic,
-                    params,
-                    weights,
-                    batch,
-                    loss_fn,
-                    kind=kind,
-                    step=step,
-                    tolerance=tolerance,
-                )
+                compare_gradients(analytic, params, weights, batch, loss_fn, tolerance=tolerance)
             )
             break
         else:
-            raise TieError(f"config {i}: tie detected after {max_attempts} resample attempts")
+            raise TieError(f"config {i}: tie detected after {MAX_ATTEMPTS} resample attempts")
     return reports
 
 

@@ -12,9 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import AggregationWeights, MlpParams, _sort_perm, descriptor_forward
+from .descriptor import (
+    DESCRIPTOR_KINDS,
+    AggregationWeights,
+    MlpParams,
+    _sort_perm,
+    descriptor_forward,
+)
 from .errors import ValidationError
 from .gridding import cell_batch_from_arrays
+
+N_CHOICES = (5, 32)  # slots per cell, drawn per block
+BLOCK_SIZE = 50  # cells per block
 
 
 @dataclass
@@ -36,16 +45,11 @@ class SuiteResult:
         }
 
 
-def _random_blocks(
-    num_cells: int,
-    seed: int,
-    n_choices: tuple[int, ...],
-    c_range: tuple[int, int],
-    block_size: int = 50,
-):
+def _random_blocks(num_cells: int, seed: int, c_max: int):
     """Yield (rng, data, counts, params, weights) blocks of random cells.
 
-    Cells within a block share (N, C) so the whole block can run batched, and
+    Cells within a block share N, drawn from ``N_CHOICES``, and C, the
+    embedded width in 1..``c_max``, so the whole block can run batched, and
     every block holds each fill level 1..N at least once, so each fill-level
     group of the ragged descriptor is exercised. Alternating blocks use the
     identity embedding and a random one-layer ReLU MLP, so the suites cover
@@ -55,9 +59,9 @@ def _random_blocks(
     block = 0
     while made < num_cells:
         rng = np.random.default_rng([seed, block])
-        n = int(rng.choice(n_choices))
-        k = max(min(block_size, num_cells - made), n)
-        c_embed = int(rng.integers(c_range[0], c_range[1] + 1))
+        n = int(rng.choice(N_CHOICES))
+        k = max(min(BLOCK_SIZE, num_cells - made), n)
+        c_embed = int(rng.integers(1, c_max + 1))
         if block % 2 == 0:
             c_in = c_embed
             params = MlpParams([])
@@ -84,27 +88,20 @@ def _shuffle_valid_slots(
     return out
 
 
-def run_invariance_suite(
-    num_cells: int = 1000,
-    shuffles: int = 20,
-    kinds: tuple[str, ...] = ("weighted", "max", "mean"),
-    seed: int = 0,
-    n_choices: tuple[int, ...] = (5, 32),
-    c_range: tuple[int, int] = (1, 64),
-) -> SuiteResult:
-    """Descriptor outputs must be bitwise unchanged under valid-slot shuffles."""
+def run_invariance_suite(num_cells: int = 1000, shuffles: int = 20, seed: int = 0) -> SuiteResult:
+    """Descriptor outputs of every kind must be bitwise unchanged under valid-slot shuffles."""
     cases = failures = 0
-    for rng, data, counts, params, weights in _random_blocks(num_cells, seed, n_choices, c_range):
+    for rng, data, counts, params, weights in _random_blocks(num_cells, seed, c_max=64):
         batch = cell_batch_from_arrays(data, counts)
         reference = {
             kind: descriptor_forward(
                 params, weights if kind == "weighted" else None, batch, kind, need_cache=False
             )[0]
-            for kind in kinds
+            for kind in DESCRIPTOR_KINDS
         }
         for _ in range(shuffles):
             shuffled = cell_batch_from_arrays(_shuffle_valid_slots(data, counts, rng), counts)
-            for kind in kinds:
+            for kind in DESCRIPTOR_KINDS:
                 w = weights if kind == "weighted" else None
                 features, _ = descriptor_forward(params, w, shuffled, kind, need_cache=False)
                 same = np.all(
@@ -115,12 +112,7 @@ def run_invariance_suite(
     return SuiteResult("permutation-invariance", cases, failures)
 
 
-def run_sorted_contract_suite(
-    num_cells: int = 1000,
-    seed: int = 1,
-    n_choices: tuple[int, ...] = (5, 32),
-    c_range: tuple[int, int] = (1, 16),
-) -> SuiteResult:
+def run_sorted_contract_suite(num_cells: int = 1000, seed: int = 1) -> SuiteResult:
     """The dense sorted matrices of a batched forward, at every fill level.
 
     Per cell: padding rows first and zero, occupied rows bitwise equal to an
@@ -129,7 +121,7 @@ def run_sorted_contract_suite(
     from a bijective per-channel source-slot permutation.
     """
     cases = failures = 0
-    for _, data, counts, params, weights in _random_blocks(num_cells, seed, n_choices, c_range):
+    for _, data, counts, params, weights in _random_blocks(num_cells, seed, c_max=16):
         _, cache = descriptor_forward(params, weights, cell_batch_from_arrays(data, counts))
         n = data.shape[1]
         expected = np.full((data.shape[0], n, cache.embedded.shape[1]), np.inf)
@@ -154,20 +146,14 @@ def run_sorted_contract_suite(
     return SuiteResult("sorted-matrix-contract", cases, failures)
 
 
-def run_max_special_case_suite(
-    num_cells: int = 1000,
-    seed: int = 2,
-    n_choices: tuple[int, ...] = (5, 32),
-    c_range: tuple[int, int] = (1, 32),
-) -> SuiteResult:
+def run_max_special_case_suite(num_cells: int = 1000, seed: int = 2) -> SuiteResult:
     """Unit weight on the last sorted row must equal max pooling bitwise.
 
     Blocks here always embed through a ReLU MLP (the default configuration),
     so the identity holds on partially filled cells too.
     """
     cases = failures = 0
-    for rng, data, counts, params, _ in _random_blocks(num_cells, seed, n_choices, c_range):
-        del rng
+    for _, data, counts, params, _ in _random_blocks(num_cells, seed, c_max=32):
         if not params.layers:
             params = MlpParams.create(data.shape[2], (8,), activation="relu", seed=seed)
         n = data.shape[1]
@@ -181,12 +167,7 @@ def run_max_special_case_suite(
     return SuiteResult("max-pool-special-case", cases, failures)
 
 
-def run_mean_consistency_suite(
-    num_cells: int = 1000,
-    seed: int = 3,
-    n_choices: tuple[int, ...] = (5, 32),
-    c_range: tuple[int, int] = (1, 32),
-) -> SuiteResult:
+def run_mean_consistency_suite(num_cells: int = 1000, seed: int = 3) -> SuiteResult:
     """Uniform 1/n weights on the occupied rows must equal the mean exactly.
 
     Weights are shared by a batch, so each fill level n of a block runs the
@@ -194,7 +175,7 @@ def run_mean_consistency_suite(
     n-point cells are compared with the same cells of one mean pass.
     """
     cases = failures = 0
-    for _, data, counts, params, _ in _random_blocks(num_cells, seed, n_choices, c_range):
+    for _, data, counts, params, _ in _random_blocks(num_cells, seed, c_max=32):
         batch = cell_batch_from_arrays(data, counts)
         means, _ = descriptor_forward(params, None, batch, "mean", need_cache=False)
         n = data.shape[1]

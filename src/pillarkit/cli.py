@@ -9,9 +9,11 @@ bench. Every run is configured by an optional JSON file plus flag overrides
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,16 @@ EXIT_IO = 3
 EXIT_CHECK_FAILED = 4
 EXIT_DIVERGED = 5
 
+# the keys each config section takes; a typo would otherwise fall back to a default
+SECTION_KEYS = {
+    "grid": tuple(f.name for f in fields(GridSpec)),
+    "descriptor": ("kind", "checkpoint", "mlp_widths", "activation"),
+    "train": tuple(f.name for f in fields(TrainConfig)),
+    "toy": tuple(f.name for f in fields(ToyTaskSpec)),
+    "check": ("cells", "shuffles", "grad_configs", "grad_tolerance"),
+    "bench": tuple(f.name for f in fields(bench_mod.BenchConfig)),
+}
+
 # featurize warns when the capacity cap and max_cells together drop more than
 # this share of the points inside the grid range
 DROP_WARNING_SHARE = 0.10
@@ -63,14 +75,25 @@ def _load_config(path: str | None) -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config root must be a JSON object")
+    _check_keys(doc, ("seed", *SECTION_KEYS))
     return doc
 
 
+def _check_keys(doc: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    """Refuse a key not in ``known``, naming it and the nearest known key if one is close."""
+    for key in doc:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {prefix + close[0]!r}?" if close else ""
+            raise ValidationError(f"unknown config key {prefix + key!r}{hint}")
+
+
 def _section(config: dict, name: str) -> dict:
-    """The config's ``name`` object; an absent section reads as empty."""
+    """The config's ``name`` object, refusing unknown keys; an absent section reads as empty."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ValidationError(f"config section {name!r} must be a JSON object")
+    _check_keys(section, SECTION_KEYS[name], f"{name}.")
     return section
 
 
@@ -172,7 +195,7 @@ def cmd_featurize(args) -> int:
         "stage_s": stage_s,
         "elapsed_s": time.perf_counter() - t0,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    _write_report(args.out, "summary.json", summary)
     in_range = cloud.num_points - batch.dropped["points_out_of_range"]
     capped = batch.dropped["points_over_capacity"] + batch.dropped["points_in_dropped_cells"]
     if points_kept == 0:
@@ -238,17 +261,13 @@ def cmd_train_toy(args) -> int:
     with open(out_dir / "metrics.jsonl", "w") as handle:
         for record in metrics.records:
             handle.write(record.to_json() + "\n")
-    (out_dir / "final.json").write_text(
-        json.dumps(
-            {
-                "kind": metrics.kind,
-                metrics.final_metric_name: metrics.final_metric_value,
-                "steps": model.step,
-                "wall_clock_s": metrics.wall_clock_s,
-            },
-            indent=2,
-        )
-    )
+    final = {
+        "kind": metrics.kind,
+        metrics.final_metric_name: metrics.final_metric_value,
+        "steps": model.step,
+        "wall_clock_s": metrics.wall_clock_s,
+    }
+    _write_report(args.out, "final.json", final)
     save_checkpoint(out_dir / "checkpoint.json", model, state, train_config, task_spec)
     print(
         f"train-toy: kind={metrics.kind} steps={model.step} "

@@ -12,6 +12,7 @@ statistic of one raw channel, which the weighted form can represent exactly.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .autograd import (
     grad_dict,
     optimizer_step,
     param_dict,
-    rebuild_from_dict,
 )
 from .descriptor import (
     DESCRIPTOR_KINDS,
@@ -332,11 +332,14 @@ def train_descriptor(
 
     Minibatch selection is a pure function of (seed, step), so training can be
     resumed from a checkpoint and reproduce the uninterrupted run exactly.
+    The run updates its own model in place, a copy of ``resume_from`` when
+    one is given, so the caller's model is never written.
     """
     classification = dataset.spec.task == "equal-extremes"
     metric_name = "val_accuracy" if classification else "val_mse"
 
-    model = resume_from if resume_from is not None else _init_model(dataset, config)
+    model = copy.deepcopy(resume_from) if resume_from is not None else _init_model(dataset, config)
+    trainable = _trainable(model, config.freeze_agg)  # the model's own arrays
     state = resume_state if resume_state is not None else OptimizerState(
         algorithm=config.optimizer, lr=config.lr
     )
@@ -373,19 +376,16 @@ def train_descriptor(
         grads["head.weight"] = features.T @ d_out
         grads["head.bias"] = np.asarray([d_out.sum()])
 
-        trainable = _trainable(model, config.freeze_agg)
         grads = {name: grads[name] for name in trainable}
         try:
             values = optimizer_step(state, trainable, grads)
         except NonFiniteError as exc:
             raise DivergenceError(f"non-finite gradient at step {step}: {exc}", step=step) from exc
-        params, weights = rebuild_from_dict(
-            values, model.params, model.weights if "agg" in values else None
-        )
-        model = TrainedModel(  # frozen aggregation weights carry over as they are
-            params, weights or model.weights, values["head.weight"], values["head.bias"],
-            config.kind, step=step + 1,
-        )
+        if not all(np.isfinite(value).all() for value in values.values()):
+            raise DivergenceError(f"non-finite parameter after step {step}", step=step)
+        for name, value in values.items():
+            trainable[name][...] = value
+        model.step = step + 1
 
         if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
             step_s = (time.perf_counter() - t_record) / (step + 1 - step_record)

@@ -22,12 +22,14 @@ from pillarkit import (
     optimizer_step,
     run_gradient_check_suite,
 )
-from pillarkit import descriptor
+from pillarkit import autograd, descriptor
 from pillarkit.autograd import (
+    GradCheckReport,
     compare_gradients,
     grad_dict,
     is_tie_free,
     param_dict,
+    rebuild_from_dict,
     squared_error_loss,
 )
 
@@ -469,6 +471,87 @@ def test_fd_subsamples_large_parameter_groups():
     assert report.passed
     assert report.checked["mlp.0.weight"] == 5  # 3*8 = 24 scalars, sampled down
     assert report.checked["agg"] == 4  # small groups still swept in full
+
+
+def rebuild_per_probe_compare(analytic, params, weights, batch, loss_fn, kind="weighted",
+                              step=1e-5, tolerance=1e-5, max_per_group=None, rng=None):
+    """Reference sweep: a fresh model rebuilt from copied arrays for every probe."""
+    base = param_dict(params, weights)
+
+    def loss_at(values):
+        p, w = rebuild_from_dict(values, params, weights)
+        features, _ = descriptor_forward(p, w, batch, kind=kind, need_cache=False)
+        return loss_fn(features)[0]
+
+    groups, checked = {}, {}
+    for name, theta in base.items():
+        flat_indices = np.arange(theta.size)
+        if max_per_group is not None and theta.size > max_per_group:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            flat_indices = np.sort(rng.choice(theta.size, size=max_per_group, replace=False))
+        worst = 0.0
+        for idx in flat_indices:
+            h = step * max(1.0, abs(theta.flat[idx]))
+            bumped = {k: (v.copy() if k == name else v) for k, v in base.items()}
+            bumped[name].flat[idx] = theta.flat[idx] + h
+            loss_plus = loss_at(bumped)
+            bumped[name].flat[idx] = theta.flat[idx] - h
+            loss_minus = loss_at(bumped)
+            numeric = (loss_plus - loss_minus) / (2.0 * h)
+            a = float(analytic[name].flat[idx])
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-12))
+        groups[name] = worst
+        checked[name] = int(flat_indices.size)
+    passed = all(err <= tolerance for err in groups.values())
+    return GradCheckReport(groups, tolerance, passed, checked)
+
+
+def report_bits(report):
+    errors = {name: np.float64(err).tobytes() for name, err in report.groups.items()}
+    return errors, report.tolerance, report.passed, report.checked
+
+
+def test_in_place_sweep_equals_rebuild_per_probe(monkeypatch):
+    params, w, batch, rng = make_random_setup(32, widths=(8, 4))
+    loss_fn = squared_error_loss(rng.standard_normal((batch.num_cells, 4)))
+
+    def run():
+        suite = run_gradient_check_suite(num_configs=5, seed=3)
+        sampled = finite_difference_check(
+            params, w, batch, loss_fn, max_per_group=5, rng=np.random.default_rng(0)
+        )
+        return [report_bits(r) for r in suite + [sampled]]
+
+    in_place = run()
+    monkeypatch.setattr(autograd, "compare_gradients", rebuild_per_probe_compare)
+    assert run() == in_place
+
+
+def test_compare_gradients_never_writes_the_parameters():
+    params, w, batch, rng = make_random_setup(33)
+    loss_fn = squared_error_loss(rng.standard_normal((batch.num_cells, params.out_dim)))
+    features, cache = descriptor_forward(params, w, batch, "weighted")
+    analytic = grad_dict(descriptor_backward(cache, loss_fn(features)[1]))
+
+    def contents():
+        return {name: a.tobytes() for name, a in param_dict(params, w).items()}
+
+    before = contents()
+    assert compare_gradients(analytic, params, w, batch, loss_fn).passed
+    assert contents() == before
+    calls = 0
+
+    def fails_on_seventh_call(features):
+        nonlocal calls
+        calls += 1
+        if calls == 7:  # the fourth scalar's +h probe, with that scalar nudged
+            raise RuntimeError("loss failed")
+        return loss_fn(features)
+
+    with pytest.raises(RuntimeError, match="loss failed"):
+        compare_gradients(analytic, params, w, batch, fails_on_seventh_call)
+    assert contents() == before
 
 
 # ---------------------------------------------------------------------------

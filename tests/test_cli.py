@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from pillarkit import (
     load_kitti_bin,
     write_kitti_bin,
 )
+from pillarkit import cli
 from pillarkit.cli import main
 from pillarkit.descriptor import _group_workers
 
@@ -47,7 +50,6 @@ def small_grid_config(tmp_path):
             "mlp_widths": [8],
             "scaling_n": [4, 8],
             "scaling_points": 256,
-            "pin_single_thread": False,
         },
     }
     path = tmp_path / "config.json"
@@ -374,6 +376,61 @@ def test_bad_config_is_config_error(tmp_path, scan_file):
          "--out", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "message"),
+    [
+        ("train-toy", {"trian": {"steps": 5}}, "'trian'; did you mean 'train'?"),
+        ("train-toy", {"train": {"step": 5}}, "'train.step'; did you mean 'train.steps'?"),
+        ("train-toy", {"task": {"cells_per_class": 4}}, "'task'"),
+        ("bench", {"bench": {"input_channels": 9}}, "'bench.input_channels'"),
+        ("bench", {"bench": {"scaling_channels": 8}}, "'bench.scaling_channels'"),
+    ],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg)]
+    if command == "train-toy":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"unknown config key {message}" in capsys.readouterr().err
+
+
+class ConfigRead(Exception):
+    """Raised in place of a command's work, once its config has been read."""
+
+
+@pytest.mark.parametrize(
+    ("command", "owner", "work"),
+    [
+        ("featurize", cli, "descriptor_forward"),
+        ("train-toy", cli, "train_descriptor"),
+        ("check-grad", cli, "run_gradient_check_suite"),
+        ("prop-test", cli.checks_mod, "run_property_suites"),
+        ("bench", cli.bench_mod, "bench_descriptor"),
+    ],
+)
+def test_readme_config_example_is_accepted(
+    tmp_path, scan_file, monkeypatch, command, owner, work
+):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"### Config file.*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(example)
+
+    def reached(*args, **kwargs):
+        raise ConfigRead
+
+    monkeypatch.setattr(owner, work, reached)
+    argv = [command, "--config", str(cfg)]
+    if command == "featurize":
+        argv += ["--input", str(scan_file)]
+    if command in ("featurize", "train-toy"):
+        argv += ["--out", str(tmp_path / "out")]
+    with pytest.raises(ConfigRead):
+        main(argv)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from pillarkit import (
 )
 from pillarkit.toy import (
     _init_model,
+    _trainable,
     evaluate,
     grad_norms,
     load_checkpoint,
@@ -185,6 +186,22 @@ def test_checkpoint_resume_matches_uninterrupted_run():
         assert a.weight.tobytes() == b.weight.tobytes()
 
 
+def test_resume_leaves_the_given_model_unchanged():
+    dataset = build_toy_dataset(quick_spec())
+    _, model, state = train_descriptor(dataset, quick_config(steps=30, mlp_widths=(6,)))
+
+    def contents():
+        return {name: a.tobytes() for name, a in _trainable(model, freeze_agg=False).items()}
+
+    before = contents()
+    _, resumed, _ = train_descriptor(
+        dataset, quick_config(steps=60, mlp_widths=(6,)), resume_from=model, resume_state=state
+    )
+    assert contents() == before
+    assert model.step == 30 and resumed.step == 60
+    assert resumed.head_weight.tobytes() != before["head.weight"]
+
+
 def test_checkpoint_file_roundtrip(tmp_path):
     dataset = build_toy_dataset(quick_spec())
     config = quick_config(steps=10)
@@ -228,6 +245,16 @@ def test_divergence_raises_with_step_index():
     with pytest.raises(DivergenceError) as excinfo:
         train_descriptor(dataset, config)
     assert excinfo.value.step >= 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_update_to_non_finite_parameters_diverges():
+    # the loss is finite, but one SGD step at the largest float rate overflows
+    # the head; such a model must not be returned or checkpointed
+    dataset = build_toy_dataset(quick_spec(task="quantile-regression"))
+    config = quick_config(optimizer="sgd", lr=1.79e308, steps=1)
+    with pytest.raises(DivergenceError, match="non-finite parameter after step 0"):
+        train_descriptor(dataset, config)
 
 
 def test_spec_validation():
