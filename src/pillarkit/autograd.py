@@ -2,9 +2,10 @@
 
 The sort stage is locally a fixed permutation (ties pinned by the stable
 tie-break), so its backward pass just routes each sorted-row gradient to the
-slot it came from. Like the forward pass it runs on the occupied slots only,
-fill-level group by fill-level group, the groups shared across the usable
-CPUs; padding slots get zero gradient.
+slot it came from: for the weighted kind, each slot reads the weight of the
+row its stable rank names. Like the forward pass it runs on the occupied
+slots only, fill-level group by fill-level group, the groups shared across
+the usable CPUs; padding slots get zero gradient.
 
 All reductions over a cell's slots run in a canonical order (by embedded row
 values), not input order, so parameter gradients are bitwise identical under
@@ -47,41 +48,52 @@ class Gradients:
     agg: np.ndarray | None
 
 
-def _canonical_rows(embedded: np.ndarray, key: np.ndarray, group: FillGroup) -> np.ndarray:
+def _canonical_rows(embedded: np.ndarray, group: FillGroup) -> np.ndarray:
     """The group's fill-major rows, cell by cell, each cell's rows in value order.
 
-    ``key`` is each row's channel sum, a fixed per-row reduction, so equal
-    rows get equal keys; only cells where distinct rows tie on that key are
-    ranked lexicographically by row values instead. Slots with identical
-    embedded rows contribute identically (or not at all, for ReLU-dead rows),
-    so their relative order cannot change the sums.
+    Rows are keyed by their channel sum, a fixed per-row reduction whose bits
+    do not depend on how many rows one call covers, so equal rows get equal
+    keys; only cells where distinct rows tie on that key are ranked
+    lexicographically by row values instead. Slots with identical embedded
+    rows contribute identically (or not at all, for ReLU-dead rows), so their
+    relative order cannot change the sums.
     """
     c = group.count
-    first = np.arange(group.start, group.span.stop, c)[:, None]
-    rows = np.argsort(group.block(key), axis=1, kind="stable") + first
-    keys = key[rows]
+    key = embedded[group.span].sum(axis=1)
+    order = np.argsort(key.reshape(-1, c), axis=1, kind="stable")
+    order += np.arange(0, key.size, c)[:, None]
+    keys = key[order]
+    rows = order + group.start
     cell, pos = np.nonzero(keys[:, 1:] == keys[:, :-1])
     differ = (embedded[rows[cell, pos]] != embedded[rows[cell, pos + 1]]).any(axis=1)
     for i in np.unique(cell[differ]):
-        cell_rows = embedded[first[i, 0] : first[i, 0] + c]
-        rows[i] = first[i] + np.lexsort(cell_rows.T[::-1])
+        first = group.start + i * c
+        rows[i] = first + np.lexsort(embedded[first : first + c].T[::-1])
     return rows.ravel()
 
 
-def _route(cache: ForwardCache, group: FillGroup, up: np.ndarray, d_rows: np.ndarray) -> None:
-    """The group's sorted-row gradients, routed into ``d_rows`` at the rows they came from.
+def _route(cache: ForwardCache, group: FillGroup, up: np.ndarray, rows: np.ndarray,
+           d_rows: np.ndarray) -> np.ndarray:
+    """The group's sorted-row gradients at the rows they came from, in the order of ``rows``.
 
-    ``up`` is the group's (k_c, 1, C) feature gradient. The max kind writes
-    one row per cell and channel; its other rows must already be zero.
+    ``up`` is the group's (k_c, C) feature gradient. The weighted kind gives
+    slot s of channel ch ``up[ch] * w[rank[s, ch]]`` and the mean ``up[ch] /
+    count``, both formed straight into the group's rows of ``d_rows`` and
+    returned as that view. The max kind writes one row per cell and channel,
+    whose other rows must already be zero, and returns them gathered.
     """
-    if cache.kind == "mean":
-        group.block(d_rows)[...] = up / group.count
-    elif cache.kind == "max":
+    block = group.block(d_rows)
+    if cache.kind == "max":
         np.put(d_rows, group.src, up)
+        return d_rows[rows]
+    if cache.kind == "mean":
+        np.divide(up[:, None, :], group.count, out=block)
     else:
         w_rows = cache.weights.values[cache.capacity - group.count :]
-        w_rows = w_rows[None, :, None] if w_rows.ndim == 1 else w_rows[None]
-        np.put(d_rows, group.src, up * w_rows)
+        rank = group.rank.reshape(rows.size, -1)[rows - group.start]
+        w_at = w_rows.take(rank) if w_rows.ndim == 1 else w_rows[rank, np.arange(rank.shape[1])]
+        np.multiply(up[:, None, :], w_at.reshape(block.shape), out=block)
+    return d_rows[group.span]
 
 
 def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
@@ -112,7 +124,6 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     embedded = cache.embedded
     if layers:
         last = layers[-1]
-        key = embedded.sum(axis=1)
         # the max kind routes to one row per cell and channel; the rest stay zero
         dz = (np.zeros_like if cache.kind == "max" else np.empty_like)(embedded)
 
@@ -121,15 +132,15 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
         agg_part = None if w is None else np.einsum(spec, up, group.values)
         if not layers:  # no MLP parameters: nothing to route or order
             return agg_part, None
-        # routed into dz's rows of this group, then reordered among them: the
-        # canonical order permutes rows only within a group
-        _route(cache, group, up[:, None, :], dz)
-        rows = _canonical_rows(embedded, key, group)
+        # the canonical order permutes rows only within a group, so dz's rows
+        # of this group take the group's gradients in that order
+        rows = _canonical_rows(embedded, group)
+        routed, span = _route(cache, group, up, rows, dz), dz[group.span]
         if last.activation == "relu":
             # a ReLU output is positive exactly where its input is, ±0.0 and NaN included
-            np.multiply(dz[rows], embedded[rows] > 0.0, out=dz[group.span])
-        else:
-            dz[group.span] = dz[rows]
+            np.multiply(routed, embedded[rows] > 0.0, out=span)
+        elif cache.kind == "max":
+            span[...] = routed
         return agg_part, rows
 
     parts = _for_each_group(backward_group, cache.groups)

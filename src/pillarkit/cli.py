@@ -151,8 +151,6 @@ def cmd_featurize(args) -> int:
     config = _load_config(args.config)
     seed = _seed(args, config)
     spec = _grid_spec(config, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     stage_s: dict[str, float] = {}
 
@@ -166,6 +164,8 @@ def cmd_featurize(args) -> int:
     cloud = timed("load", load_kitti_bin, args.input)
     batch = timed("batch", build_cell_batch, cloud, spec)
     params, weights, kind = _descriptor_setup(config, args, batch, seed)
+    out_dir = Path(args.out)  # made once the config has been read in full
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     features, _ = timed(
         "forward", descriptor_forward, params, weights, batch, kind, need_cache=False
@@ -221,8 +221,6 @@ def cmd_featurize(args) -> int:
 def cmd_train_toy(args) -> int:
     config = _load_config(args.config)
     seed = _seed(args, config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     model = state = None
     if args.resume:
@@ -253,6 +251,8 @@ def cmd_train_toy(args) -> int:
             train_doc["kind"] = args.descriptor
         task_spec = ToyTaskSpec.from_doc(task_doc)
         train_config = TrainConfig.from_doc(train_doc)
+    out_dir = Path(args.out)  # made once the config has been read in full
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_toy_dataset(task_spec)
     metrics, model, state = train_descriptor(
         dataset, train_config, resume_from=model, resume_state=state

@@ -263,17 +263,20 @@ class FillGroup:
     Their rows are the fill-major rows ``start`` on, cell after cell, each in
     slot order, so :meth:`block` is a (k_c, count, C) view. ``values`` is the
     per-channel ascending sort of that block; the max kind keeps none.
-    ``src[i, r, ch]`` is the flat index into the fill-major (P, C) embedding
-    of the value that sorted row r of channel ch holds; for the max kind only
-    the last row, each channel's maximum (the last one when maxima tie, as
-    the stable sort would place it). Only gradient routing reads ``src``, so
-    the forward sets it only when the backward will route through it.
+    Only gradient routing reads ``rank`` and ``src``, so the forward sets
+    them only when the backward will route through the sort. ``rank[i, s,
+    ch]``, of the weighted kind, is the sorted row that slot s of cell i
+    holds in channel ch: its stable rank, ties in slot order, so ``rank`` is
+    the inverse of the stable argsort. ``src[i, 0, ch]``, of the max kind, is
+    the flat index into the fill-major (P, C) embedding of each channel's
+    maximum (the last one when maxima tie, as the stable sort would place it).
     """
 
     count: int
     cells: np.ndarray
     start: int
     values: np.ndarray | None = None
+    rank: np.ndarray | None = None
     src: np.ndarray | None = None
 
     @property
@@ -420,48 +423,74 @@ def _network_sort(planes: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.
     return np.stack(planes, axis=1, out=out)
 
 
-def _sort_values(block: np.ndarray, planes: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Sort a (k, c, C) block per channel ascending, in place, and return it.
+def _sort_values(
+    block: np.ndarray, planes: np.ndarray, spare: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sort a (k, c, C) block per channel ascending, into ``out`` or else in place.
 
     Fills from 2 to ``_NETWORK_MAX_FILL`` go through the network, over a copy
     of the block in the first k * c rows of ``planes`` (an (n, C) buffer) and
     a (k, C) ``spare`` plane.
     """
     k, c, channels = block.shape
-    if _FAULT_MODE == "skip-sort" or c == 1:
-        return block
-    if c > _NETWORK_MAX_FILL:
+    sorts = c > 1 and _FAULT_MODE != "skip-sort"
+    if sorts and c <= _NETWORK_MAX_FILL:
+        planes = planes[: k * c].reshape(c, k, channels)
+        np.copyto(planes, block.transpose(1, 0, 2))
+        return _network_sort(planes, spare, block if out is None else out)
+    if out is not None:
+        np.copyto(out, block)
+        block = out
+    if sorts:
         # ties carry identical bits after canonicalization, so plain quicksort
         # yields the same value sequence as the stable sort, cheaper
         block.sort(axis=1)
-        return block
-    planes = planes[: k * c].reshape(c, k, channels)
-    np.copyto(planes, block.transpose(1, 0, 2))
-    return _network_sort(planes, spare, block)
+    return block
 
 
-def _sort_perm(block: np.ndarray, kind: str) -> np.ndarray:
-    """The source-slot permutation of a (k_c, count, C) block's per-channel sort.
-
-    For the max kind only the last sorted row: (k_c, 1, C).
-    """
-    count = block.shape[1]
-    if kind == "max":
-        return (count - 1 - np.argmax(block[:, ::-1], axis=1))[:, None, :]
+def _sort_perm(block: np.ndarray) -> np.ndarray:
+    """The source-slot permutation of a (k, c, C) block's per-channel stable sort."""
     if _FAULT_MODE == "skip-sort":
-        return np.broadcast_to(np.arange(count)[None, :, None], block.shape).copy()
+        return np.broadcast_to(np.arange(block.shape[1])[None, :, None], block.shape).copy()
     return np.argsort(block, axis=1, kind="stable")
 
 
-def _source_index(group: FillGroup, embedded: np.ndarray, kind: str) -> np.ndarray:
-    """``group.src``: the group's sort permutation as flat indices into ``embedded``.
+def _sort_ranked(
+    block: np.ndarray, planes: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, c, C) block's per-channel ascending sort, into a new array, and its ranks.
 
-    ``src = perm * C + first_row_of_cell * C + channel``.
+    ``rank[i, s, ch]`` (see :class:`FillGroup`) counts the values that sort
+    before slot s: ``#{j > s: v_j < v_s} + #{j < s: v_j <= v_s}``. Up to
+    ``_NETWORK_MAX_FILL`` it is counted from the slot number s, one
+    comparison per slot offset d over the whole block: where ``v_{s+d} <
+    v_s``, slot s moves up a row and slot s + d down one. Larger fills
+    invert the stable argsort. With ``skip-sort`` the ranks are the identity.
+    """
+    c = block.shape[1]
+    rank = np.empty(block.shape, dtype=np.min_scalar_type(c - 1))
+    if c > _NETWORK_MAX_FILL:
+        perm = _sort_perm(block)
+        np.put_along_axis(rank, perm, np.arange(c)[:, None], axis=1)
+        return np.take_along_axis(block, perm, axis=1), rank
+    rank[...] = np.arange(c)[:, None]  # the identity, as skip-sort leaves it
+    if _FAULT_MODE != "skip-sort":
+        for d in range(1, c):
+            falls = block[:, d:] < block[:, :-d]
+            rank[:, :-d] += falls
+            rank[:, d:] -= falls
+    return _sort_values(block, planes, spare, np.empty_like(block)), rank
+
+
+def _source_index(group: FillGroup, embedded: np.ndarray) -> np.ndarray:
+    """The max kind's ``src``: each channel's maximum as a flat index into ``embedded``.
+
+    ``src = slot * C + first_row_of_cell * C + channel``, (k_c, 1, C).
     """
     channels, count = embedded.shape[1], group.count
     start = group.start * channels
     first = np.arange(start, start + group.cells.size * count * channels, count * channels)
-    src = _sort_perm(group.block(embedded), kind)
+    src = (count - 1 - np.argmax(group.block(embedded)[:, ::-1], axis=1))[:, None, :]
     src *= channels
     src += first[:, None, None] + np.arange(channels)
     return src
@@ -490,12 +519,11 @@ def sort_project(embedded: np.ndarray, valid_count: int) -> SortedFeatureMatrix:
     n = embedded.shape[0]
     pad = n - valid_count
     occupied = embedded[:valid_count] + 0.0
-    src = _source_index(FillGroup(valid_count, np.arange(1), 0), occupied, "weighted")
-    values = np.zeros_like(embedded)
-    values[pad:] = occupied.ravel().take(src[0])
     perm = np.empty(embedded.shape, dtype=np.int64)
     perm[:pad] = np.arange(valid_count, n)[:, None]  # padding rows take the unused slots
-    perm[pad:] = src[0] // embedded.shape[1]
+    perm[pad:] = _sort_perm(occupied[None])[0]
+    values = np.zeros_like(embedded)
+    values[pad:] = np.take_along_axis(occupied, perm[pad:], axis=0)
     return SortedFeatureMatrix(values, perm, valid_count)
 
 
@@ -555,9 +583,10 @@ class ForwardCache:
     batch order, each cell's rows in slot order. ``activations`` holds the
     rows entering each layer, then the embedding (-0.0 canonicalized to
     +0.0); with no layers only the embedding, and never a pre-activation.
-    The groups carry their sorted blocks, and their flat source indices
-    exactly when the backward routes through them: an MLP with layers and the
-    weighted or max kind.
+    The groups carry their sorted blocks, and exactly when the backward
+    routes through the sort (an MLP with layers) the weighted kind's per-slot
+    ranks, one byte each up to 256 points, or the max kind's flat indices of
+    the maxima.
     """
 
     kind: str
@@ -602,8 +631,9 @@ def descriptor_forward(
     of cells of equal fill level c is embedded, sorted and combined with the
     weights of the last c sorted rows as one unit, the groups shared across
     the usable CPUs. The cache carries the activations and sorted blocks
-    needed for the backward pass, plus each group's flat source index when
-    the backward routes gradients through it; pass ``need_cache=False`` on
+    needed for the backward pass, plus each group's ranks (for the max kind,
+    its maxima's flat indices) when the backward routes gradients through
+    the sort; pass ``need_cache=False`` on
     inference-only paths to skip it, and with it every array of one row per
     point: each share then works its groups in place in scratch arrays
     allocated once per call, sized for its largest group.
@@ -627,7 +657,7 @@ def descriptor_forward(
     outputs = [np.empty((rows.shape[0], width)) for width in widths] if need_cache else []
     # the backward routes sorted-row gradients to their rows only to feed MLP
     # layers, and the mean spreads them evenly without a permutation
-    need_perm = need_cache and bool(params.layers) and kind != "mean"
+    routes = need_cache and bool(params.layers) and kind != "mean"
     features = np.empty((k, c_out))
 
     def w_rows(c: int) -> np.ndarray:
@@ -638,8 +668,8 @@ def descriptor_forward(
         output rows (in training, the cache's arrays), the sort network's
         planes, and one row per cell, the network's spare plane and then the
         combined features."""
-        # the network sorts no block of the max kind, nor one that training gathers
-        sorts = kind != "max" and not need_perm
+        # the network sorts no block of the max kind
+        sorts = kind != "max"
         networked = [g.rows for g in share if sorts and 1 < g.count <= _NETWORK_MAX_FILL]
         return (
             outputs if need_cache else [np.empty((max(g.rows for g in share), w)) for w in widths],
@@ -656,15 +686,16 @@ def descriptor_forward(
         # copies the batch's own rows into the cache or the scratch
         x = np.add(_embed(params, rows[group.span], into), 0.0, out=into[-1])
         block, out = x.reshape(cells, c, c_out), out[:cells]
-        if need_perm:
-            group.src = _source_index(group, outputs[-1], kind)
         if kind == "max":
+            if routes:
+                group.src = _source_index(group, outputs[-1])
             np.max(block, axis=1, out=out)
         else:
-            if need_perm:
-                values = outputs[-1].ravel().take(group.src)
-            else:  # the cache keeps the embedding, so training sorts a copy
-                values = _sort_values(block.copy() if need_cache else block, planes, out)
+            if routes:
+                values, group.rank = _sort_ranked(block, planes, out)
+            else:  # the cache keeps the embedding, so training sorts into a new array
+                dest = np.empty_like(block) if need_cache else None
+                values = _sort_values(block, planes, out, dest)
             _combine(w_rows(c), values, out)
             if need_cache:
                 group.values = values

@@ -332,15 +332,16 @@ def train_descriptor(
 
     Minibatch selection is a pure function of (seed, step), so training can be
     resumed from a checkpoint and reproduce the uninterrupted run exactly.
-    The run updates its own model in place, a copy of ``resume_from`` when
-    one is given, so the caller's model is never written.
+    The run updates its own model and optimizer state in place, copies of
+    ``resume_from`` and ``resume_state`` when given, so the caller's are
+    never written.
     """
     classification = dataset.spec.task == "equal-extremes"
     metric_name = "val_accuracy" if classification else "val_mse"
 
     model = copy.deepcopy(resume_from) if resume_from is not None else _init_model(dataset, config)
     trainable = _trainable(model, config.freeze_agg)  # the model's own arrays
-    state = resume_state if resume_state is not None else OptimizerState(
+    state = copy.deepcopy(resume_state) if resume_state is not None else OptimizerState(
         algorithm=config.optimizer, lr=config.lr
     )
 

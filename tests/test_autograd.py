@@ -225,7 +225,34 @@ def test_identity_embedding_backward_computes_no_permutation(kind):
     features, cache = descriptor_forward(MlpParams([]), w, batch, kind)
     grads = descriptor_backward(cache, rng.standard_normal(features.shape))
     grad_dict(grads)
-    assert all(group.src is None for group in cache.groups)
+    assert all(group.src is None and group.rank is None for group in cache.groups)
+
+
+@pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
+def test_training_keeps_ranks_for_weighted_and_maxima_for_max(kind):
+    rng = np.random.default_rng(40)
+    n = 16
+    counts = np.tile(np.arange(1, n + 1), 2)
+    batch = cell_batch_from_arrays(rng.standard_normal((2 * n, n, 3)), counts)
+    w = AggregationWeights(rng.standard_normal(n)) if kind == "weighted" else None
+    _, cache = descriptor_forward(MlpParams.create(3, (5,), seed=40), w, batch, kind)
+    for group in cache.groups:
+        assert (group.rank is not None) == (kind == "weighted")
+        assert (group.src is not None) == (kind == "max")
+        if group.rank is not None:
+            assert group.rank.dtype == np.uint8 and group.rank.shape == (2, group.count, 5)
+
+
+@pytest.mark.parametrize("channels", [3, 8, 64, 65, 130])
+def test_row_sums_do_not_depend_on_how_many_rows_one_call_covers(channels):
+    # each fill group keys its canonical row order by the channel sums of its
+    # own rows, which must be the bits of the same rows summed in a larger call
+    rng = np.random.default_rng(channels)
+    x = rng.standard_normal((600, channels)) * 10.0 ** rng.integers(-8, 9, size=(600, channels))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    whole = x.sum(axis=1)
+    for start, stop in [(0, 1), (5, 6), (7, 10), (11, 43), (100, 357), (1, 600)]:
+        assert x[start:stop].sum(axis=1).tobytes() == whole[start:stop].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["weighted", "max"])

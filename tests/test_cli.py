@@ -243,9 +243,10 @@ def test_featurize_and_train_toy_never_build_dense_slots(tmp_path, small_grid_co
 def test_featurize_and_training_step_never_gather_groups_or_route_along_axis(
     tmp_path, small_grid_config, scan_file, monkeypatch
 ):
-    # the fill-major layout makes every fill group a view of the embedding and
-    # routes gradients through one flat index: no per-group np.take row gather,
-    # no take_along_axis read of the sorted values, no put_along_axis scatter
+    # the fill-major layout makes every fill group a view of the embedding, and
+    # up to 12 points training counts ranks and routes gradients through them:
+    # no per-group np.take row gather, no take_along_axis read of the sorted
+    # values, no put_along_axis scatter
     rng = np.random.default_rng(5)
     counts = rng.integers(1, 9, size=40)
     batch = cell_batch_from_arrays(rng.standard_normal((counts.size, 8, 3)), counts)
@@ -396,6 +397,25 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, command, config, m
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert f"unknown config key {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "config"),
+    [
+        ("featurize", {"descriptor": {"knd": "max"}}),
+        ("train-toy", {"train": {"step": 5}}),
+        ("train-toy", {"toy": {"cells_per_class": 0}}),
+    ],
+)
+def test_a_config_error_leaves_no_output_directory(tmp_path, scan_file, command, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "featurize":
+        argv += ["--input", str(scan_file)]
+    assert main(argv) == 2
+    assert not out.exists()
 
 
 class ConfigRead(Exception):

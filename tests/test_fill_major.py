@@ -7,7 +7,7 @@ each fill group's rows are gathered out of the embedding, sorted with a
 stable argsort and ``take_along_axis`` (or ``np.sort`` when no permutation is
 needed), gradients are routed back with ``put_along_axis``, and a ReLU's
 mask is read from its pre-activation. The library's layout, sorting network,
-flat-index routing and masks read from layer outputs must reproduce its
+rank routing and masks read from layer outputs must reproduce its
 features, sorted matrices and gradients bitwise, for ReLU and identity
 layers alike, whether a training pass runs its fill groups on one thread or
 shares them across two.
@@ -42,6 +42,7 @@ from pillarkit.descriptor import (
     _for_each_group,
     _network,
     _network_sort,
+    _sort_ranked,
     set_fault_mode,
 )
 
@@ -315,6 +316,36 @@ def test_network_equals_np_sort_bitwise_with_ties_and_zeros(c):
     assert _network_sorted(block).tobytes() == np.sort(block, axis=1).tobytes()
     view = np.concatenate([block, block])[::2]  # a non-contiguous block
     assert _network_sorted(view).tobytes() == np.sort(view, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("c", [*range(1, 41), 300])  # both sides of the cut-off, and wide ranks
+def test_ranks_are_the_inverse_stable_argsort_with_ties_and_signed_zeros(c):
+    rng = np.random.default_rng(c)
+    block = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(30 if c < 300 else 3, c, 5))
+    block[:2] = block[:2, :1]  # cells whose points are all equal
+    k, _, channels = block.shape
+    planes, spare = np.empty((k * c, channels)), np.empty((k, channels))
+    before = block.tobytes()
+    values, rank = _sort_ranked(block, planes, spare)
+    assert block.tobytes() == before  # the cache's embedding is left as it is
+    assert rank.dtype == (np.uint8 if c <= 256 else np.uint16)
+    inverse = np.argsort(np.argsort(block, axis=1, kind="stable"), axis=1)
+    assert (rank == inverse).all()
+    canonical = block + 0.0  # as the forward canonicalizes before it sorts
+    values, _ = _sort_ranked(canonical, planes, spare)
+    assert values.tobytes() == np.sort(canonical, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("c", [5, _NETWORK_MAX_FILL + 3])
+def test_skip_sort_ranks_are_the_identity(c):
+    block = np.random.default_rng(c).standard_normal((4, c, 3))
+    set_fault_mode("skip-sort")
+    try:
+        values, rank = _sort_ranked(block, np.empty((4 * c, 3)), np.empty((4, 3)))
+    finally:
+        set_fault_mode(None)
+    assert values.tobytes() == block.tobytes()
+    assert (rank == np.arange(c)[:, None]).all()
 
 
 def test_skip_sort_fault_bypasses_the_network():

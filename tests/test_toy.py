@@ -202,6 +202,23 @@ def test_resume_leaves_the_given_model_unchanged():
     assert resumed.head_weight.tobytes() != before["head.weight"]
 
 
+def test_resuming_twice_from_one_state_gives_equal_checkpoints(tmp_path):
+    dataset = build_toy_dataset(quick_spec())
+    _, model, state = train_descriptor(dataset, quick_config(steps=10))
+    before = state.to_doc()
+    config = quick_config(steps=20)
+    saved = []
+    for name in ("first", "second"):
+        _, resumed, resumed_state = train_descriptor(
+            dataset, config, resume_from=model, resume_state=state
+        )
+        assert resumed_state is not state and resumed_state.step == 20
+        save_checkpoint(tmp_path / name, resumed, resumed_state, config, dataset.spec)
+        saved.append((tmp_path / name).read_bytes())
+    assert state.to_doc() == before
+    assert saved[0] == saved[1]
+
+
 def test_checkpoint_file_roundtrip(tmp_path):
     dataset = build_toy_dataset(quick_spec())
     config = quick_config(steps=10)
