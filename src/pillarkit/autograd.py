@@ -73,27 +73,27 @@ def _canonical_rows(embedded: np.ndarray, group: FillGroup) -> np.ndarray:
 
 
 def _route(cache: ForwardCache, group: FillGroup, up: np.ndarray, rows: np.ndarray,
-           d_rows: np.ndarray) -> np.ndarray:
-    """The group's sorted-row gradients at the rows they came from, in the order of ``rows``.
+           d_rows: np.ndarray) -> None:
+    """Write the group's sorted-row gradients straight into its span of ``d_rows``.
 
-    ``up`` is the group's (k_c, C) feature gradient. The weighted kind gives
-    slot s of channel ch ``up[ch] * w[rank[s, ch]]`` and the mean ``up[ch] /
-    count``, both formed straight into the group's rows of ``d_rows`` and
-    returned as that view. The max kind writes one row per cell and channel,
-    whose other rows must already be zero, and returns them gathered.
+    ``up`` is the group's (k_c, C) feature gradient, and the span takes the
+    slots in the order of ``rows``. The mean gives every slot ``up[ch] /
+    count``. The weighted and max kinds read each slot's rank in that order:
+    the weighted kind gives slot s of channel ch ``up[ch] * w[rank[s, ch]]``,
+    and the max kind ``up[ch]`` on its top row and +0.0 on every other.
     """
     block = group.block(d_rows)
-    if cache.kind == "max":
-        np.put(d_rows, group.src, up)
-        return d_rows[rows]
     if cache.kind == "mean":
         np.divide(up[:, None, :], group.count, out=block)
-    else:
-        w_rows = cache.weights.values[cache.capacity - group.count :]
-        rank = group.rank.reshape(rows.size, -1)[rows - group.start]
-        w_at = w_rows.take(rank) if w_rows.ndim == 1 else w_rows[rank, np.arange(rank.shape[1])]
-        np.multiply(up[:, None, :], w_at.reshape(block.shape), out=block)
-    return d_rows[group.span]
+        return
+    rank = group.rank.reshape(rows.size, -1)[rows - group.start].reshape(block.shape)
+    if cache.kind == "max":
+        block[...] = 0.0
+        np.copyto(block, up[:, None, :], where=rank == group.count - 1)
+        return
+    w_rows = cache.weights.values[cache.capacity - group.count :]
+    w_at = w_rows.take(rank) if w_rows.ndim == 1 else w_rows[rank, np.arange(rank.shape[2])]
+    np.multiply(up[:, None, :], w_at, out=block)
 
 
 def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
@@ -124,8 +124,7 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     embedded = cache.embedded
     if layers:
         last = layers[-1]
-        # the max kind routes to one row per cell and channel; the rest stay zero
-        dz = (np.zeros_like if cache.kind == "max" else np.empty_like)(embedded)
+        dz = np.empty_like(embedded)
 
     def backward_group(group: FillGroup) -> tuple[np.ndarray | None, np.ndarray | None]:
         up = upstream[group.cells]
@@ -135,12 +134,11 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
         # the canonical order permutes rows only within a group, so dz's rows
         # of this group take the group's gradients in that order
         rows = _canonical_rows(embedded, group)
-        routed, span = _route(cache, group, up, rows, dz), dz[group.span]
+        _route(cache, group, up, rows, dz)
+        span = dz[group.span]
         if last.activation == "relu":
             # a ReLU output is positive exactly where its input is, ±0.0 and NaN included
-            np.multiply(routed, embedded[rows] > 0.0, out=span)
-        elif cache.kind == "max":
-            span[...] = routed
+            np.multiply(span, embedded[rows] > 0.0, out=span)
         return agg_part, rows
 
     parts = _for_each_group(backward_group, cache.groups)
@@ -244,22 +242,24 @@ FD_STEP = 1e-5  # the central-difference step, relative to max(1, |theta|)
 TIE_MARGIN = 10.0
 
 
-def is_tie_free(params: MlpParams, batch: CellBatch, step: float) -> bool:
-    """True if the sort permutation is locally constant under +-step nudges.
+def is_tie_free(params: MlpParams, batch: CellBatch) -> bool:
+    """True if the sort permutation is locally constant under +-``FD_STEP`` nudges.
 
     Requires every pair of valid embedded values within a channel to differ by
-    at least ``TIE_MARGIN * step``, and keeps ReLU pre-activations away from
+    at least ``TIE_MARGIN * FD_STEP``, and keeps ReLU pre-activations away from
     their kink by the same margin (recomputed from each layer's cached input)
     so central differences never straddle one. Exact zero-zero ties are
     allowed under a final ReLU: the pre-activation margin pins those slots
     dead, so they stay at zero under the nudge and carry no gradient either way.
+    The gaps are read from the sorted blocks of one mean forward; under the
+    ``skip-sort`` fault those hold slot order, so a gap counts by its size.
     """
-    _, cache = descriptor_forward(params, None, batch, kind="max")
-    slack = TIE_MARGIN * step
+    _, cache = descriptor_forward(params, None, batch, kind="mean")
+    slack = TIE_MARGIN * FD_STEP
     final_relu = bool(params.layers) and params.layers[-1].activation == "relu"
     for group in cache.groups:
-        vals = np.sort(group.block(cache.embedded), axis=1)
-        tied = np.diff(vals, axis=1) < slack
+        vals = group.values
+        tied = np.abs(np.diff(vals, axis=1)) < slack
         if final_relu:
             tied &= ~((vals[:, :-1] == 0.0) & (vals[:, 1:] == 0.0))
         if tied.any():
@@ -278,16 +278,15 @@ def compare_gradients(
     batch: CellBatch,
     loss_fn,
     kind: str = "weighted",
-    step: float = FD_STEP,
     tolerance: float = 1e-5,
     max_per_group: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
     """Central-difference sweep of every (or a sampled subset of) scalar.
 
-    The step for scalar theta is ``step * max(1, |theta|)`` and the relative
+    The step for scalar theta is ``FD_STEP * max(1, |theta|)`` and the relative
     error denominator is ``max(|analytic|, |numeric|, 1e-12)``. The inputs
-    must be tie-free at ``step`` (see :func:`is_tie_free`); the caller checks.
+    must be tie-free (see :func:`is_tie_free`); the caller checks.
     The sweep nudges a private copy of the parameters in place, one scalar at
     a time, so ``params`` and ``weights`` are never written.
     """
@@ -312,7 +311,7 @@ def compare_gradients(
         worst = 0.0
         for idx in flat_indices:
             value = theta.flat[idx]
-            h = step * max(1.0, abs(value))
+            h = FD_STEP * max(1.0, abs(value))
             theta.flat[idx] = value + h
             loss_plus = loss()
             theta.flat[idx] = value - h
@@ -335,19 +334,18 @@ def finite_difference_check(
     batch: CellBatch,
     loss_fn,
     kind: str = "weighted",
-    step: float = FD_STEP,
     tolerance: float = 1e-5,
     max_per_group: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
     """Check descriptor_backward against central finite differences."""
-    if not is_tie_free(params, batch, step):
-        raise TieError("inputs are not tie-free at the requested step size")
+    if not is_tie_free(params, batch):
+        raise TieError("inputs are not tie-free at the finite-difference step")
     features, cache = descriptor_forward(params, weights, batch, kind=kind, need_cache=True)
     _, upstream = loss_fn(features)
     analytic = grad_dict(descriptor_backward(cache, upstream))
     return compare_gradients(
-        analytic, params, weights, batch, loss_fn, kind=kind, step=step, tolerance=tolerance,
+        analytic, params, weights, batch, loss_fn, kind=kind, tolerance=tolerance,
         max_per_group=max_per_group, rng=rng,
     )
 
@@ -395,7 +393,7 @@ def run_gradient_check_suite(
             data = rng.uniform(-1.0, 1.0, size=(k, n, c_in))
             counts = rng.integers(1, n + 1, size=k)
             batch = cell_batch_from_arrays(data, counts)
-            if not is_tie_free(params, batch, FD_STEP):
+            if not is_tie_free(params, batch):
                 continue
             target = rng.standard_normal((k, params.output_channels(c_in)))
             loss_fn = squared_error_loss(target)

@@ -251,12 +251,12 @@ def cmd_train_toy(args) -> int:
             train_doc["kind"] = args.descriptor
         task_spec = ToyTaskSpec.from_doc(task_doc)
         train_config = TrainConfig.from_doc(train_doc)
-    out_dir = Path(args.out)  # made once the config has been read in full
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_toy_dataset(task_spec)
     metrics, model, state = train_descriptor(
         dataset, train_config, resume_from=model, resume_state=state
     )
+    out_dir = Path(args.out)  # made once the run has trained, so a failed one leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     with open(out_dir / "metrics.jsonl", "w") as handle:
         for record in metrics.records:

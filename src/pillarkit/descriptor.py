@@ -42,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, ValidationError
-from .gridding import CellBatch, _to_slots
+from .errors import FileFormatError, NonFiniteError, ValidationError
+from .gridding import CellBatch, _to_slots, require_memory
 
 ACTIVATIONS = ("relu", "identity")
 DESCRIPTOR_KINDS = ("weighted", "max", "mean")
@@ -116,6 +116,7 @@ class MlpParams:
         layers = []
         prev = c_in
         for width in widths:
+            require_memory(8 * prev * width, f"a ({prev}, {width}) MLP layer", "narrow the MLP")
             scale = np.sqrt(2.0 / prev)
             layers.append(
                 MlpLayer(
@@ -263,13 +264,12 @@ class FillGroup:
     Their rows are the fill-major rows ``start`` on, cell after cell, each in
     slot order, so :meth:`block` is a (k_c, count, C) view. ``values`` is the
     per-channel ascending sort of that block; the max kind keeps none.
-    Only gradient routing reads ``rank`` and ``src``, so the forward sets
-    them only when the backward will route through the sort. ``rank[i, s,
-    ch]``, of the weighted kind, is the sorted row that slot s of cell i
-    holds in channel ch: its stable rank, ties in slot order, so ``rank`` is
-    the inverse of the stable argsort. ``src[i, 0, ch]``, of the max kind, is
-    the flat index into the fill-major (P, C) embedding of each channel's
-    maximum (the last one when maxima tie, as the stable sort would place it).
+    ``rank[i, s, ch]`` is the sorted row that slot s of cell i holds in
+    channel ch: its stable rank, ties in slot order, so ``rank`` is the
+    inverse of the stable argsort. The max kind keeps only the top row:
+    ``count - 1`` on each channel's last maximum, where the stable sort puts
+    it, and 0 elsewhere. Only gradient routing reads ``rank``, so the forward
+    sets it only when the backward will route through the sort.
     """
 
     count: int
@@ -277,7 +277,6 @@ class FillGroup:
     start: int
     values: np.ndarray | None = None
     rank: np.ndarray | None = None
-    src: np.ndarray | None = None
 
     @property
     def rows(self) -> int:
@@ -448,13 +447,6 @@ def _sort_values(
     return block
 
 
-def _sort_perm(block: np.ndarray) -> np.ndarray:
-    """The source-slot permutation of a (k, c, C) block's per-channel stable sort."""
-    if _FAULT_MODE == "skip-sort":
-        return np.broadcast_to(np.arange(block.shape[1])[None, :, None], block.shape).copy()
-    return np.argsort(block, axis=1, kind="stable")
-
-
 def _sort_ranked(
     block: np.ndarray, planes: np.ndarray, spare: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -468,13 +460,14 @@ def _sort_ranked(
     invert the stable argsort. With ``skip-sort`` the ranks are the identity.
     """
     c = block.shape[1]
+    sorts = _FAULT_MODE != "skip-sort"
     rank = np.empty(block.shape, dtype=np.min_scalar_type(c - 1))
-    if c > _NETWORK_MAX_FILL:
-        perm = _sort_perm(block)
+    if sorts and c > _NETWORK_MAX_FILL:
+        perm = np.argsort(block, axis=1, kind="stable")
         np.put_along_axis(rank, perm, np.arange(c)[:, None], axis=1)
         return np.take_along_axis(block, perm, axis=1), rank
     rank[...] = np.arange(c)[:, None]  # the identity, as skip-sort leaves it
-    if _FAULT_MODE != "skip-sort":
+    if sorts:
         for d in range(1, c):
             falls = block[:, d:] < block[:, :-d]
             rank[:, :-d] += falls
@@ -482,18 +475,19 @@ def _sort_ranked(
     return _sort_values(block, planes, spare, np.empty_like(block)), rank
 
 
-def _source_index(group: FillGroup, embedded: np.ndarray) -> np.ndarray:
-    """The max kind's ``src``: each channel's maximum as a flat index into ``embedded``.
+def _max_rank(block: np.ndarray, maxima: np.ndarray) -> np.ndarray:
+    """The max kind's ``rank`` of a (k, c, C) block whose per-channel maxima are ``maxima``.
 
-    ``src = slot * C + first_row_of_cell * C + channel``, (k_c, 1, C).
+    ``c - 1`` on each channel's last maximum and 0 elsewhere: a slot holding
+    the maximum keeps it only if no later slot holds it too.
     """
-    channels, count = embedded.shape[1], group.count
-    start = group.start * channels
-    first = np.arange(start, start + group.cells.size * count * channels, count * channels)
-    src = (count - 1 - np.argmax(group.block(embedded)[:, ::-1], axis=1))[:, None, :]
-    src *= channels
-    src += first[:, None, None] + np.arange(channels)
-    return src
+    c = block.shape[1]
+    top = block == maxima[:, None, :]
+    later = np.logical_or.accumulate(top[:, :0:-1], axis=1)[:, ::-1]  # a maximum after slot s
+    np.greater(top[:, :-1], later, out=top[:, :-1])
+    rank = np.zeros(block.shape, dtype=np.min_scalar_type(c - 1))
+    np.copyto(rank, c - 1, where=top)
+    return rank
 
 
 def _combine(w_rows: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -512,18 +506,23 @@ def sort_project(embedded: np.ndarray, valid_count: int) -> SortedFeatureMatrix:
     """Project each channel on its own axis and sort the valid values ascending.
 
     Padding goes to the low rows so that row N-1 is the per-channel maximum of
-    the valid points. Ties keep ascending slot order (stable).
+    the valid points. Ties keep ascending slot order (stable). The cell is
+    sorted as a one-cell fill group, and ``perm`` inverts its ranks, so a
+    NaN, which has no place in the order, is refused.
     """
     embedded = _as_slots(embedded)
     _check_padding(embedded, valid_count)
-    n = embedded.shape[0]
+    if np.isnan(embedded).any():
+        raise NonFiniteError("cannot sort a cell holding NaN")
+    n, channels = embedded.shape
     pad = n - valid_count
-    occupied = embedded[:valid_count] + 0.0
+    occupied = embedded[None, :valid_count] + 0.0
+    sorted_block, rank = _sort_ranked(occupied, np.empty_like(occupied[0]), np.empty((1, channels)))
     perm = np.empty(embedded.shape, dtype=np.int64)
     perm[:pad] = np.arange(valid_count, n)[:, None]  # padding rows take the unused slots
-    perm[pad:] = _sort_perm(occupied[None])[0]
+    np.put_along_axis(perm[pad:], rank[0], np.arange(valid_count)[:, None], axis=0)
     values = np.zeros_like(embedded)
-    values[pad:] = np.take_along_axis(occupied, perm[pad:], axis=0)
+    values[pad:] = sorted_block[0]
     return SortedFeatureMatrix(values, perm, valid_count)
 
 
@@ -552,11 +551,17 @@ def _check_agg_shapes(weights: AggregationWeights, n: int, c: int) -> None:
         )
 
 
-def aggregate_max(embedded: np.ndarray, valid_count: int) -> np.ndarray:
-    """Per-channel maximum over the valid slots (-0.0 read as +0.0, as in a batch)."""
+def _pool_one(embedded: np.ndarray, valid_count: int, kind: str) -> np.ndarray:
+    """The batched descriptor with the identity embedding on one cell's slots."""
     embedded = _as_slots(embedded)
     _check_padding(embedded, valid_count)
-    return (embedded[:valid_count] + 0.0).max(axis=0)
+    batch = CellBatch.from_rows(embedded[:valid_count], np.array([valid_count]), embedded.shape[0])
+    return descriptor_forward(MlpParams(), None, batch, kind, need_cache=False)[0][0]
+
+
+def aggregate_max(embedded: np.ndarray, valid_count: int) -> np.ndarray:
+    """Per-channel maximum over the valid slots (-0.0 read as +0.0, as in a batch)."""
+    return _pool_one(embedded, valid_count, "max")
 
 
 def aggregate_mean(embedded: np.ndarray, valid_count: int) -> np.ndarray:
@@ -566,12 +571,7 @@ def aggregate_mean(embedded: np.ndarray, valid_count: int) -> np.ndarray:
     occupied sorted rows, so it is exactly equal to that special case and its
     rounding does not depend on the input slot order.
     """
-    embedded = _as_slots(embedded)
-    n = embedded.shape[0]
-    sfm = sort_project(embedded, valid_count)
-    w = np.zeros(n)
-    w[n - valid_count :] = 1.0 / valid_count
-    return aggregate_weighted(AggregationWeights(w), sfm)
+    return _pool_one(embedded, valid_count, "mean")
 
 
 @dataclass
@@ -584,9 +584,8 @@ class ForwardCache:
     rows entering each layer, then the embedding (-0.0 canonicalized to
     +0.0); with no layers only the embedding, and never a pre-activation.
     The groups carry their sorted blocks, and exactly when the backward
-    routes through the sort (an MLP with layers) the weighted kind's per-slot
-    ranks, one byte each up to 256 points, or the max kind's flat indices of
-    the maxima.
+    routes through the sort (an MLP with layers, and the weighted or max
+    kind) their per-slot ranks, one byte each up to 256 points.
     """
 
     kind: str
@@ -631,9 +630,8 @@ def descriptor_forward(
     of cells of equal fill level c is embedded, sorted and combined with the
     weights of the last c sorted rows as one unit, the groups shared across
     the usable CPUs. The cache carries the activations and sorted blocks
-    needed for the backward pass, plus each group's ranks (for the max kind,
-    its maxima's flat indices) when the backward routes gradients through
-    the sort; pass ``need_cache=False`` on
+    needed for the backward pass, plus each group's ranks when the backward
+    routes gradients through the sort; pass ``need_cache=False`` on
     inference-only paths to skip it, and with it every array of one row per
     point: each share then works its groups in place in scratch arrays
     allocated once per call, sized for its largest group.
@@ -687,9 +685,9 @@ def descriptor_forward(
         x = np.add(_embed(params, rows[group.span], into), 0.0, out=into[-1])
         block, out = x.reshape(cells, c, c_out), out[:cells]
         if kind == "max":
-            if routes:
-                group.src = _source_index(group, outputs[-1])
             np.max(block, axis=1, out=out)
+            if routes:
+                group.rank = _max_rank(block, out)
         else:
             if routes:
                 values, group.rank = _sort_ranked(block, planes, out)

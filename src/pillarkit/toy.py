@@ -39,7 +39,7 @@ from .descriptor import (
 )
 from .documents import Document, Seed, typed
 from .errors import DivergenceError, FileFormatError, NonFiniteError, ValidationError
-from .gridding import cell_batch_from_arrays
+from .gridding import cell_batch_from_arrays, require_memory
 
 TOY_TASKS = ("equal-extremes", "quantile-regression")
 
@@ -66,6 +66,9 @@ class ToyTaskSpec(Document):
             raise ValidationError("quantile must be in [0, 1]")
         if not 0.0 <= self.edge_band <= 1.0:  # NaN fails too
             raise ValidationError(f"edge_band must be in [0, 1], got {self.edge_band}")
+        cells = 2 * self.cells_per_class
+        require_memory(8 * cells * self.n_points * self.channels,
+                       f"a toy dataset of {cells} cells", "lower toy.cells_per_class")
 
 
 @dataclass

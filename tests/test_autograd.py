@@ -225,7 +225,7 @@ def test_identity_embedding_backward_computes_no_permutation(kind):
     features, cache = descriptor_forward(MlpParams([]), w, batch, kind)
     grads = descriptor_backward(cache, rng.standard_normal(features.shape))
     grad_dict(grads)
-    assert all(group.src is None and group.rank is None for group in cache.groups)
+    assert all(group.rank is None for group in cache.groups)
 
 
 @pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
@@ -237,8 +237,9 @@ def test_training_keeps_ranks_for_weighted_and_maxima_for_max(kind):
     w = AggregationWeights(rng.standard_normal(n)) if kind == "weighted" else None
     _, cache = descriptor_forward(MlpParams.create(3, (5,), seed=40), w, batch, kind)
     for group in cache.groups:
-        assert (group.rank is not None) == (kind == "weighted")
-        assert (group.src is not None) == (kind == "max")
+        assert (group.rank is not None) == (kind != "mean")
+        if kind == "max":  # exactly one slot per cell and channel holds the top row
+            assert ((group.rank == group.count - 1).sum(axis=1) == 1).all()
         if group.rank is not None:
             assert group.rank.dtype == np.uint8 and group.rank.shape == (2, group.count, 5)
 
@@ -303,7 +304,7 @@ def test_backward_on_no_cells_gives_zero_gradients(kind, widths):
     w = AggregationWeights.max_pool_init(spec.capacity) if kind == "weighted" else None
     features, cache = descriptor_forward(params, w, batch, kind)
     assert features.shape == (0, params.output_channels(4)) and cache.groups == []
-    assert is_tie_free(params, batch, 1e-5)
+    assert is_tie_free(params, batch)
     grads = grad_dict(descriptor_backward(cache, np.ones_like(features)))
     expected = param_dict(params, w)
     assert list(grads) == list(expected)
@@ -408,13 +409,32 @@ def test_per_channel_weights_pass_fd():
     assert report.checked["agg"] == batch.capacity * params.out_dim
 
 
-def test_max_backward_routes_to_argmax_slot():
-    cell = np.array([[1.0, 5.0], [3.0, 2.0]])
-    batch = cell_batch_from_arrays(cell[None])
+@pytest.mark.parametrize(
+    "cell, expected",
+    [
+        # routed rows [[0, 1], [1, 0]]: each channel's gradient lands on its argmax slot
+        ([[1.0, 5.0], [3.0, 2.0]], [[3.0, 1.0], [2.0, 5.0]]),
+        # channel 0's maximum ties on slots 0 and 2: routed rows [[0, 0], [0, 1], [1, 0]],
+        # the last of the tied slots, where the stable sort puts the top row
+        ([[4.0, 1.0], [2.0, 3.0], [4.0, 0.5]], [[4.0, 2.0], [0.5, 3.0]]),
+    ],
+    ids=["distinct", "tied-maxima"],
+)
+def test_max_backward_routes_to_argmax_slot(cell, expected):
+    batch = cell_batch_from_arrays(np.array(cell)[None])
     _, cache = descriptor_forward(_eye_mlp(), None, batch, "max")
     ((d_weight, _),) = descriptor_backward(cache, np.array([[1.0, 1.0]])).layers
-    # routed rows [[0, 1], [1, 0]]: each channel's gradient lands on its argmax slot
-    np.testing.assert_array_equal(d_weight, [[3.0, 1.0], [2.0, 5.0]])
+    np.testing.assert_array_equal(d_weight, expected)
+
+
+def test_max_route_writes_positive_zero_off_the_top_row():
+    # up * 0.0 would be -0.0 wherever up < 0
+    batch = cell_batch_from_arrays(np.array([[[1.0, 5.0], [3.0, 2.0]]]))
+    _, cache = descriptor_forward(_eye_mlp(), None, batch, "max")
+    d_rows = np.full_like(cache.embedded, np.nan)
+    autograd._route(cache, cache.groups[0], np.array([[-1.0, -2.0]]), np.arange(2), d_rows)
+    # slot 1 holds channel 0's maximum, slot 0 channel 1's
+    assert d_rows.tobytes() == np.array([[0.0, -2.0], [-1.0, 0.0]]).tobytes()
 
 
 def test_mean_backward_spreads_uniformly():
@@ -501,7 +521,7 @@ def test_fd_subsamples_large_parameter_groups():
 
 
 def rebuild_per_probe_compare(analytic, params, weights, batch, loss_fn, kind="weighted",
-                              step=1e-5, tolerance=1e-5, max_per_group=None, rng=None):
+                              tolerance=1e-5, max_per_group=None, rng=None):
     """Reference sweep: a fresh model rebuilt from copied arrays for every probe."""
     base = param_dict(params, weights)
 
@@ -519,7 +539,7 @@ def rebuild_per_probe_compare(analytic, params, weights, batch, loss_fn, kind="w
             flat_indices = np.sort(rng.choice(theta.size, size=max_per_group, replace=False))
         worst = 0.0
         for idx in flat_indices:
-            h = step * max(1.0, abs(theta.flat[idx]))
+            h = autograd.FD_STEP * max(1.0, abs(theta.flat[idx]))
             bumped = {k: (v.copy() if k == name else v) for k, v in base.items()}
             bumped[name].flat[idx] = theta.flat[idx] + h
             loss_plus = loss_at(bumped)

@@ -418,6 +418,33 @@ def test_a_config_error_leaves_no_output_directory(tmp_path, scan_file, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "config", "what"),
+    [
+        # 2 MiB of cells, against the patched 1 MiB
+        ("train-toy", {"toy": {"cells_per_class": 1024}}, "a toy dataset of 2048 cells"),
+        # a first layer of 1.6 MB
+        ("train-toy", {"toy": {"cells_per_class": 4}, "train": {"mlp_widths": [50000]}},
+         "a (4, 50000) MLP layer"),
+        ("featurize", {"descriptor": {"mlp_widths": [50000]}}, "MLP layer"),
+    ],
+)
+def test_sizes_beyond_physical_memory_exit_2_before_any_output(
+    tmp_path, scan_file, monkeypatch, capsys, command, config, what
+):
+    # the limit is patched, so the check is tested without allocating
+    monkeypatch.setattr(gridding, "physical_memory_bytes", lambda: 2**20)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "featurize":
+        argv += ["--input", str(scan_file)]
+    assert main(argv) == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
+
+
 class ConfigRead(Exception):
     """Raised in place of a command's work, once its config has been read."""
 

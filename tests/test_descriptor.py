@@ -124,6 +124,9 @@ def test_sort_project_perm_is_bijection_and_rejects_bad_input():
     dirty = np.ones((4, 2))
     with pytest.raises(ValidationError):
         sort_project(dirty, 2)  # padding slots not zero
+    cell[2, 1] = np.nan  # it has no place in the order: ranks would not be a bijection
+    with pytest.raises(ValidationError, match="NaN"):
+        sort_project(cell, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +270,12 @@ def test_sorted_matrix_multiset_and_monotonicity(n, c, seed):
     np.testing.assert_array_equal(np.sort(cell[:n_valid], axis=0), valid_rows)
 
 
-def test_descriptor_matches_per_cell_composition():
+@pytest.mark.parametrize("k, n", [(5, 6), (40, 20)])
+def test_descriptor_matches_per_cell_composition(k, n):
+    # 20 slots give fills above the network's 12 too, which sort_project
+    # ranks through the stable argsort rather than by counting
     rng = np.random.default_rng(8)
-    k, n, c_in = 5, 6, 3
+    c_in = 3
     data = rng.standard_normal((k, n, c_in))
     counts = rng.integers(1, n + 1, size=k)
     batch = cell_batch_from_arrays(data, counts)
@@ -280,13 +286,14 @@ def test_descriptor_matches_per_cell_composition():
     for k_i in range(k):
         embedded = mlp_forward(params, batch.data[k_i], int(counts[k_i]))
         expected = aggregate_weighted(w, sort_project(embedded, int(counts[k_i])))
-        np.testing.assert_allclose(features[k_i], expected, rtol=1e-13, atol=1e-13)
+        assert features[k_i].tobytes() == expected.tobytes()
 
     means, _ = descriptor_forward(params, None, batch, "mean", need_cache=False)
+    maxima, _ = descriptor_forward(params, None, batch, "max", need_cache=False)
     for k_i in range(k):
         embedded = mlp_forward(params, batch.data[k_i], int(counts[k_i]))
-        expected = aggregate_mean(embedded, int(counts[k_i]))
-        np.testing.assert_allclose(means[k_i], expected, rtol=1e-13, atol=1e-13)
+        assert means[k_i].tobytes() == aggregate_mean(embedded, int(counts[k_i])).tobytes()
+        assert maxima[k_i].tobytes() == aggregate_max(embedded, int(counts[k_i])).tobytes()
 
 
 def test_identity_descriptor_matches_hand_composition():

@@ -28,3 +28,30 @@ def test_readme_library_sketch_runs(tmp_path, monkeypatch):
 def test_every_exported_name_resolves():
     missing = [name for name in pk.__all__ if not hasattr(pk, name)]
     assert missing == []
+
+
+def _instances() -> dict:
+    """One small instance of each class whose attributes the README names."""
+    batch = pk.cell_batch_from_arrays(np.ones((1, 2, 3)))
+    _, cache = pk.descriptor_forward(pk.MlpParams([]), None, batch, "max")
+    return {
+        "AggregationWeights": pk.AggregationWeights(np.ones(2)),
+        "CellBatch": batch,
+        "FeatureMap": pk.FeatureMap(np.zeros((1, 1, 1))),
+        "FillGroup": cache.groups[0],
+        "ForwardCache": cache,
+    }
+
+
+def test_every_class_attribute_the_readme_names_resolves():
+    # fenced code is left out: its backticks would pair with the prose's
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    instances = _instances()
+    named = {
+        match.groups()
+        for span in re.findall(r"`([^`]+)`", prose)
+        if (match := re.match(r"(\w+)\.(\w+)", span)) and match.group(1) in instances
+    }
+    assert named
+    missing = sorted(f"{cls}.{attr}" for cls, attr in named if not hasattr(instances[cls], attr))
+    assert missing == []
