@@ -41,6 +41,7 @@ from .toy import (
     load_checkpoint,
     save_checkpoint,
     train_descriptor,
+    weight_readout,
 )
 
 EXIT_OK = 0
@@ -133,6 +134,10 @@ def _descriptor_setup(
             what = f"a ({batch.capacity},) aggregation weight vector"
             require_memory(8 * batch.capacity, what, "lower the capacity")
             weights = AggregationWeights.max_pool_init(batch.capacity)
+    # the forward embeds a fill group at a time, so the largest group's rows pass every layer
+    fills = np.bincount(batch.valid_count)
+    params.require_output_memory(int((fills * np.arange(fills.size)).max(initial=0)),
+                                 "narrow descriptor.mlp_widths")
     return params, weights, kind
 
 
@@ -261,11 +266,15 @@ def cmd_train_toy(args) -> int:
     with open(out_dir / "metrics.jsonl", "w") as handle:
         for record in metrics.records:
             handle.write(record.to_json() + "\n")
+    mass, distance = weight_readout(model.weights)  # the last record's, if there is one
     final = {
         "kind": metrics.kind,
         metrics.final_metric_name: metrics.final_metric_value,
         "steps": model.step,
         "wall_clock_s": metrics.wall_clock_s,
+        "stage_s": metrics.stage_s,
+        "agg_last_row_mass": mass,
+        "agg_distance_from_max_pool": distance,
     }
     _write_report(args.out, "final.json", final)
     save_checkpoint(out_dir / "checkpoint.json", model, state, train_config, task_spec)

@@ -101,6 +101,13 @@ class MlpParams:
     def output_channels(self, c_in: int) -> int:
         return self.out_dim if self.layers else c_in
 
+    def require_output_memory(self, rows: int, advice: str) -> None:
+        """Raise ValidationError if all layers' outputs for ``rows`` points together
+        outgrow physical memory."""
+        widths = [layer.bias.size for layer in self.layers]
+        require_memory(8 * rows * sum(widths), f"an MLP pass of {rows} points (widths {widths})",
+                       advice)
+
     @classmethod
     def create(
         cls,

@@ -228,13 +228,17 @@ def cell_batch_from_arrays(
     """Wrap a raw (K, N, C) slot array as a CellBatch with no grid.
 
     Convenience for feeding descriptors with cells that did not come from a
-    grid (toy tasks, benchmarks). Slots past ``valid_count`` are ignored; full
-    cells become rows by a reshape.
+    grid (toy tasks, benchmarks). Slots past ``valid_count`` are ignored.
+    Without ``valid_count`` every cell is full, and its rows are a reshape
+    of ``data``, with no per-cell checks.
     """
     data = np.asarray(data, dtype=np.float64)
-    if valid_count is None and data.ndim == 3:  # other shapes are refused by CellBatch
-        valid_count = np.full(data.shape[0], data.shape[1], dtype=np.int64)
-    return CellBatch(data, valid_count)
+    if valid_count is not None or data.ndim != 3:  # CellBatch refuses a shape not (K, N, C)
+        return CellBatch(data, valid_count)
+    k, n, c = data.shape
+    if n < 1:
+        raise ValidationError(f"cells must hold at least one slot, got shape {data.shape}")
+    return CellBatch.from_rows(data.reshape(k * n, c), np.full(k, n, dtype=np.int64), n)
 
 
 def assign_cells(cloud: PointCloud, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -503,9 +507,16 @@ def require_memory(nbytes: int, what: str, advice: str) -> None:
     limit = physical_memory_bytes()
     if nbytes > limit:
         raise ValidationError(
-            f"{what} needs {nbytes / 2**30:.1f} GiB, more than the "
-            f"{limit / 2**30:.1f} GiB of physical memory; {advice}"
+            f"{what} needs {_gib(nbytes)} GiB, more than the {_gib(limit)} GiB of physical "
+            f"memory; {advice}"
         )
+
+
+def _gib(nbytes: int) -> str:
+    """``nbytes`` in GiB to one decimal, in integers, since a size from a config can
+    exceed any float."""
+    tenths = (10 * int(nbytes) + 2**29) // 2**30
+    return f"{tenths // 10}.{tenths % 10}"
 
 
 def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) -> FeatureMap:

@@ -13,6 +13,7 @@ statistic of one raw channel, which the weighted form can represent exactly.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import time
 from dataclasses import dataclass
@@ -248,6 +249,12 @@ def grad_norms(grads: dict[str, np.ndarray]) -> dict[str, float]:
     return {group: float(np.sqrt(total)) for group, total in squares.items()}
 
 
+# where a training step's time goes: drawing and gathering the minibatch, the
+# descriptor forward with the head and the loss, the backward with the head's
+# gradients, the update with its checks, and the evaluation records
+TRAIN_STAGES = ("batch", "forward", "backward", "optimizer", "eval")
+
+
 @dataclass
 class Metrics:
     kind: str
@@ -256,6 +263,7 @@ class Metrics:
     final_metric_name: str
     final_metric_value: float
     wall_clock_s: float
+    stage_s: dict[str, float]  # seconds summed over the run per TRAIN_STAGES entry
 
 
 @dataclass
@@ -298,11 +306,30 @@ def _trainable(model: TrainedModel, freeze_agg: bool) -> dict[str, np.ndarray]:
     return out
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive views of ``flat``, one per array of ``like``, in its order and shapes."""
+    out, start = {}, 0
+    for name, array in like.items():
+        out[name] = flat[start : start + array.size].reshape(array.shape)
+        start += array.size
+    return out
+
+
+def _rebind(model: TrainedModel, arrays: dict[str, np.ndarray]) -> None:
+    """Make ``arrays``, named as by ``_trainable``, the model's trainable arrays."""
+    for i, layer in enumerate(model.params.layers):
+        layer.weight, layer.bias = arrays[f"mlp.{i}.weight"], arrays[f"mlp.{i}.bias"]
+    if "agg" in arrays:
+        model.weights.values = arrays["agg"]
+    model.head_weight, model.head_bias = arrays["head.weight"], arrays["head.bias"]
+
+
 def _bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy in the numerically stable softplus form."""
     y = labels.astype(np.float64)
     softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
-    loss = float(np.mean(softplus - y * logits))
+    # the bits of np.mean, which is a sum and then a true divide, with less overhead
+    loss = float((softplus - y * logits).sum() / logits.shape[0])
     sigmoid = 1.0 / (1.0 + np.exp(-logits))
     return loss, (sigmoid - y) / logits.shape[0]
 
@@ -313,7 +340,7 @@ def _forward_head(model: TrainedModel, features: np.ndarray) -> np.ndarray:
 
 def evaluate(model: TrainedModel, dataset: ToyDataset, idx: np.ndarray) -> float:
     """Validation accuracy (classification) or MSE (regression)."""
-    batch = cell_batch_from_arrays(dataset.cells[idx], dataset.valid_count[idx])
+    batch = cell_batch_from_arrays(dataset.cells[idx])
     features, _ = descriptor_forward(
         model.params, model.weights, batch, kind=model.kind, need_cache=False
     )
@@ -338,74 +365,116 @@ def train_descriptor(
     The run updates its own model and optimizer state in place, copies of
     ``resume_from`` and ``resume_state`` when given, so the caller's are
     never written.
+
+    The trainable arrays are views of one float64 vector, and each step's
+    gradients are written into views of another, so a step is one
+    ``optimizer_step`` call over a single entry. Adam and SGD have no
+    reductions, so this gives the bits of an update name by name. The
+    state's per-name moments are joined into that entry's once before the
+    loop and split back once after it.
     """
     classification = dataset.spec.task == "equal-extremes"
     metric_name = "val_accuracy" if classification else "val_mse"
 
     model = copy.deepcopy(resume_from) if resume_from is not None else _init_model(dataset, config)
-    trainable = _trainable(model, config.freeze_agg)  # the model's own arrays
+    take = min(config.batch_size, dataset.train_idx.size)
+    model.params.require_output_memory(dataset.cells.shape[1] * max(take, dataset.val_idx.size),
+                                       "narrow train.mlp_widths or lower train.batch_size")
+
+    trainable = _trainable(model, config.freeze_agg)
+    theta = np.concatenate([array.ravel() for array in trainable.values()])
+    _rebind(model, _views(theta, trainable))
+    g = np.empty_like(theta)
+    grads = _views(g, trainable)
+
     state = copy.deepcopy(resume_state) if resume_state is not None else OptimizerState(
         algorithm=config.optimizer, lr=config.lr
     )
+    flat = dataclasses.replace(state, moments={})
+    if state.algorithm == "adam":  # a name not stepped yet starts at zero, as in optimizer_step
+        flat.moments["theta"] = tuple(
+            np.concatenate([state.moments[name][i].ravel() if name in state.moments
+                            else np.zeros(array.size) for name, array in trainable.items()])
+            for i in (0, 1)
+        )
 
     records: list[EvalRecord] = []
     losses: list[float] = []
-    t_start = t_record = time.perf_counter()
-    step_record = model.step
-    for step in range(model.step, config.steps):
-        batch_rng = np.random.default_rng([config.seed, 3, step])
-        take = min(config.batch_size, dataset.train_idx.size)
-        idx = batch_rng.choice(dataset.train_idx, size=take, replace=False)
+    stage_s = dict.fromkeys(TRAIN_STAGES, 0.0)
+    t_start = t_record = clock = time.perf_counter()
 
-        batch = cell_batch_from_arrays(dataset.cells[idx], dataset.valid_count[idx])
-        # overflow here shows up as a non-finite loss and aborts below
-        with np.errstate(over="ignore", invalid="ignore"):
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        stage_s[stage] += now - clock
+        clock = now
+
+    step_record = model.step
+    # overflow shows up as a non-finite loss, gradient or parameter and aborts below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(model.step, config.steps):
+            batch_rng = np.random.default_rng([config.seed, 3, step])
+            idx = batch_rng.choice(dataset.train_idx, size=take, replace=False)
+            batch = cell_batch_from_arrays(dataset.cells[idx])
+            lap("batch")
+
             features, cache = descriptor_forward(
                 model.params, model.weights, batch, kind=config.kind, need_cache=True
             )
             outputs = _forward_head(model, features)
-
             if classification:
                 loss, d_out = _bce_with_logits(outputs, dataset.labels[idx])
             else:
                 err = outputs - dataset.targets[idx]
                 loss = float(np.mean(err * err))
                 d_out = 2.0 * err / err.shape[0]
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at step {step}", step=step)
-        losses.append(loss)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at step {step}", step=step)
+            losses.append(loss)
+            lap("forward")
 
-        upstream = d_out[:, None] * model.head_weight[None, :]
-        grads = grad_dict(descriptor_backward(cache, upstream))
-        grads["head.weight"] = features.T @ d_out
-        grads["head.bias"] = np.asarray([d_out.sum()])
+            upstream = d_out[:, None] * model.head_weight[None, :]
+            named = grad_dict(descriptor_backward(cache, upstream))
+            named["head.weight"] = features.T @ d_out
+            named["head.bias"] = d_out.sum()
+            for name, view in grads.items():
+                view[...] = named[name]
+            lap("backward")
 
-        grads = {name: grads[name] for name in trainable}
-        try:
-            values = optimizer_step(state, trainable, grads)
-        except NonFiniteError as exc:
-            raise DivergenceError(f"non-finite gradient at step {step}: {exc}", step=step) from exc
-        if not all(np.isfinite(value).all() for value in values.values()):
-            raise DivergenceError(f"non-finite parameter after step {step}", step=step)
-        for name, value in values.items():
-            trainable[name][...] = value
-        model.step = step + 1
+            try:
+                new = optimizer_step(flat, {"theta": theta}, {"theta": g})["theta"]
+            except NonFiniteError as exc:
+                name = next(name for name, view in grads.items() if not np.isfinite(view).all())
+                raise DivergenceError(
+                    f"non-finite gradient at step {step} in parameter group {name!r}", step=step
+                ) from exc
+            if not np.isfinite(new).all():
+                raise DivergenceError(f"non-finite parameter after step {step}", step=step)
+            theta[...] = new
+            model.step = step + 1
+            lap("optimizer")
 
-        if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
-            step_s = (time.perf_counter() - t_record) / (step + 1 - step_record)
-            records.append(
-                EvalRecord(
-                    step + 1,
-                    loss,
-                    metric_name,
-                    evaluate(model, dataset, dataset.val_idx),
-                    time.perf_counter() - t_start,
-                    *weight_readout(model.weights),
-                    step_s,
-                    grad_norms(grads),
+            if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
+                step_s = (clock - t_record) / (step + 1 - step_record)
+                records.append(
+                    EvalRecord(
+                        step + 1,
+                        loss,
+                        metric_name,
+                        evaluate(model, dataset, dataset.val_idx),
+                        time.perf_counter() - t_start,
+                        *weight_readout(model.weights),
+                        step_s,
+                        grad_norms(grads),
+                    )
                 )
-            )
-            t_record, step_record = time.perf_counter(), step + 1
+                lap("eval")
+                t_record, step_record = clock, step + 1
+
+    if "theta" in flat.moments and flat.step > state.step:  # Adam ran: split its moments by name
+        m, v = (_views(moment, trainable) for moment in flat.moments["theta"])
+        state.moments.update((name, (m[name], v[name])) for name in trainable)
+    state.step = flat.step
 
     final_value = records[-1].metric_value if records else evaluate(model, dataset, dataset.val_idx)
     metrics = Metrics(
@@ -415,6 +484,7 @@ def train_descriptor(
         final_metric_name=metric_name,
         final_metric_value=final_value,
         wall_clock_s=time.perf_counter() - t_start,
+        stage_s=stage_s,
     )
     return metrics, model, state
 

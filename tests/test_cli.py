@@ -427,6 +427,12 @@ def test_a_config_error_leaves_no_output_directory(tmp_path, scan_file, command,
         ("train-toy", {"toy": {"cells_per_class": 4}, "train": {"mlp_widths": [50000]}},
          "a (4, 50000) MLP layer"),
         ("featurize", {"descriptor": {"mlp_widths": [50000]}}, "MLP layer"),
+        # a 640 KB first layer, but 6 cells of 32 points make 31 MB of its outputs
+        ("train-toy", {"toy": {"cells_per_class": 4},
+                       "train": {"mlp_widths": [20000], "steps": 1, "eval_every": 1}},
+         "train.mlp_widths"),
+        # a 72 KB first layer, but the scan's 1-point cells make over 1.6 MB of its outputs
+        ("featurize", {"descriptor": {"mlp_widths": [1000]}}, "descriptor.mlp_widths"),
     ],
 )
 def test_sizes_beyond_physical_memory_exit_2_before_any_output(
@@ -599,6 +605,10 @@ def test_train_toy_writes_outputs_for_both_kinds(tmp_path, small_grid_config):
             assert all(np.isfinite(v) for v in record["grad_norm"].values())
         final = json.loads((out / "final.json").read_text())
         assert final["kind"] == kind
+        assert list(final["stage_s"]) == ["batch", "forward", "backward", "optimizer", "eval"]
+        assert 0.0 < sum(final["stage_s"].values()) <= final["wall_clock_s"]
+        for key in ("agg_last_row_mass", "agg_distance_from_max_pool"):
+            assert final[key] == record[key]
         assert (out / "checkpoint.json").exists()
 
 

@@ -273,6 +273,12 @@ def test_dense_grid_larger_than_physical_memory_is_refused_before_allocating(
         fmap.values
 
 
+def test_a_size_past_any_float_is_refused_with_its_size():
+    # a config integer such as toy.cells_per_class 10**400 has no float value
+    with pytest.raises(ValidationError, match=r"a huge array needs 9313225746\d+\.\d GiB"):
+        gridding.require_memory(10**400, "a huge array", "lower it")
+
+
 @pytest.mark.parametrize(
     "coords, match",
     [([[0, 0, 0]], "coords"), ([[0]], "coords"), ([[3, 0]], "coords"), ([[0, 4]], "coords"),
@@ -349,6 +355,21 @@ def test_cell_batch_from_arrays_masks_and_validates():
         cell_batch_from_arrays(data, np.array([0, 3]))  # below 1
     with pytest.raises(ValidationError):
         cell_batch_from_arrays(np.ones((2, 3)))  # not 3-D
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 3), (1, 1, 4), (0, 3, 2)])
+def test_full_cells_without_counts_match_the_dense_constructor(shape):
+    k, n, c = shape
+    data = np.random.default_rng(0).standard_normal(shape)
+    data[..., 0] = -0.0  # signed zeros keep their bits
+    fast, dense = cell_batch_from_arrays(data), CellBatch(data, np.full(k, n))
+    assert fast.rows.tobytes() == dense.rows.tobytes() and fast.rows.shape == dense.rows.shape
+    assert fast.valid_count.tobytes() == dense.valid_count.tobytes()
+    assert fast.valid_count.dtype == dense.valid_count.dtype and fast.capacity == n
+    with pytest.raises(ValidationError):
+        cell_batch_from_arrays(data.reshape(k * n, c))  # 2-D
+    with pytest.raises(ValidationError):
+        cell_batch_from_arrays(np.ones((k + 1, 0, 2)))  # no slots
 
 
 def test_cell_batch_constructor_refuses_bad_slots_or_counts():

@@ -1,3 +1,6 @@
+import collections
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,15 +8,21 @@ from pillarkit import (
     AggregationWeights,
     DivergenceError,
     MlpParams,
+    OptimizerState,
     ToyTaskSpec,
     TrainConfig,
     ValidationError,
     build_toy_dataset,
     cell_batch_from_arrays,
+    descriptor_backward,
     descriptor_forward,
+    optimizer_step,
+    toy,
     train_descriptor,
 )
+from pillarkit.autograd import grad_dict
 from pillarkit.toy import (
+    TRAIN_STAGES,
     _init_model,
     _trainable,
     evaluate,
@@ -184,6 +193,100 @@ def test_checkpoint_resume_matches_uninterrupted_run():
     assert model_resumed.weights.values.tobytes() == model_full.weights.values.tobytes()
     for a, b in zip(model_resumed.params.layers, model_full.params.layers):
         assert a.weight.tobytes() == b.weight.tobytes()
+
+
+def reference_train(dataset, config, model=None, state=None):
+    """Train name by name: each step draws the run's minibatch, calls the public
+    ``optimizer_step`` over the named arrays and writes each update back."""
+    model = copy.deepcopy(model) if model is not None else _init_model(dataset, config)
+    state = copy.deepcopy(state) if state is not None else OptimizerState(
+        algorithm=config.optimizer, lr=config.lr
+    )
+    params = _trainable(model, config.freeze_agg)
+    take = min(config.batch_size, dataset.train_idx.size)
+    for step in range(model.step, config.steps):
+        rng = np.random.default_rng([config.seed, 3, step])
+        idx = rng.choice(dataset.train_idx, size=take, replace=False)
+        batch = cell_batch_from_arrays(dataset.cells[idx], dataset.valid_count[idx])
+        features, cache = descriptor_forward(model.params, model.weights, batch, config.kind)
+        logits = features @ model.head_weight + model.head_bias[0]
+        labels = dataset.labels[idx].astype(np.float64)
+        d_out = (1.0 / (1.0 + np.exp(-logits)) - labels) / logits.shape[0]
+        grads = grad_dict(descriptor_backward(cache, d_out[:, None] * model.head_weight[None, :]))
+        grads["head.weight"] = features.T @ d_out
+        grads["head.bias"] = np.asarray([d_out.sum()])
+        new = optimizer_step(state, params, {name: grads[name] for name in params})
+        for name, value in new.items():
+            params[name][...] = value
+        model.step = step + 1
+    return model, state
+
+
+def assert_same_training(got, expected):
+    (model, state), (ref_model, ref_state) = got, expected
+    arrays, ref_arrays = _trainable(model, False), _trainable(ref_model, False)
+    assert list(arrays) == list(ref_arrays)
+    for name, array in arrays.items():
+        assert array.shape == ref_arrays[name].shape, name
+        assert array.tobytes() == ref_arrays[name].tobytes(), name
+    assert model.step == ref_model.step and state.step == ref_state.step
+    assert list(state.moments) == list(ref_state.moments)  # the checkpoint's order
+    for name, (m, v) in state.moments.items():
+        ref_m, ref_v = ref_state.moments[name]
+        assert m.shape == ref_m.shape and v.shape == ref_v.shape, name
+        assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes(), name
+
+
+@pytest.mark.parametrize("freeze_agg", [False, True], ids=["agg", "frozen"])
+@pytest.mark.parametrize("mlp_widths", [(), (6,)], ids=["identity", "mlp"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_training_matches_name_by_name_updates_bitwise(optimizer, mlp_widths, freeze_agg):
+    dataset = build_toy_dataset(quick_spec())
+    config = quick_config(steps=40, optimizer=optimizer, mlp_widths=mlp_widths,
+                          freeze_agg=freeze_agg, agg_noise=0.01)
+    _, model, state = train_descriptor(dataset, config)
+    assert_same_training((model, state), reference_train(dataset, config))
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_training_matches_name_by_name_across_an_unfreezing_resume(optimizer):
+    dataset = build_toy_dataset(quick_spec())
+    half = quick_config(steps=20, optimizer=optimizer, mlp_widths=(6,), freeze_agg=True)
+    full = quick_config(steps=40, optimizer=optimizer, mlp_widths=(6,), freeze_agg=False)
+    _, model, state = train_descriptor(dataset, half)
+    ref_model, ref_state = reference_train(dataset, half)
+    assert_same_training((model, state), (ref_model, ref_state))
+    assert "agg" not in state.moments
+    _, model, state = train_descriptor(dataset, full, model, state)
+    assert_same_training((model, state), reference_train(dataset, full, ref_model, ref_state))
+    assert ("agg" in state.moments) == (optimizer == "adam")
+
+
+def test_the_traced_calls_fire_once_per_step_and_per_record(monkeypatch):
+    # a traced benchmark run wraps these module names to time each stage
+    calls = collections.Counter()
+    for name in ("cell_batch_from_arrays", "descriptor_forward", "descriptor_backward",
+                 "optimizer_step", "evaluate"):
+        def counted(*args, _real=getattr(toy, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(toy, name, counted)
+    metrics, _, _ = train_descriptor(build_toy_dataset(quick_spec()),
+                                     quick_config(steps=10, eval_every=5))
+    assert [r.step for r in metrics.records] == [5, 10]
+    # each evaluation batches its cells and runs a forward of its own
+    assert calls == {"cell_batch_from_arrays": 12, "descriptor_forward": 12,
+                     "descriptor_backward": 10, "optimizer_step": 10, "evaluate": 2}
+
+
+def test_stage_times_cover_the_training_wall_time():
+    dataset = build_toy_dataset(quick_spec())
+    metrics, _, _ = train_descriptor(dataset, quick_config(steps=200, eval_every=50))
+    assert tuple(metrics.stage_s) == TRAIN_STAGES
+    assert all(seconds > 0.0 for seconds in metrics.stage_s.values())
+    total = sum(metrics.stage_s.values())
+    assert 0.9 * metrics.wall_clock_s <= total <= metrics.wall_clock_s
 
 
 def test_resume_leaves_the_given_model_unchanged():
