@@ -4,8 +4,8 @@ The sort stage is locally a fixed permutation (ties pinned by the stable
 tie-break), so its backward pass just routes each sorted-row gradient to the
 slot it came from: for the weighted kind, each slot reads the weight of the
 row its stable rank names. Like the forward pass it runs on the occupied
-slots only, fill-level group by fill-level group, the groups shared across
-the usable CPUs; padding slots get zero gradient.
+slots only, fill-level group by fill-level group, the usable CPUs taking
+the groups largest first from one queue; padding slots get zero gradient.
 
 All reductions over a cell's slots run in a canonical order (by embedded row
 values), not input order, so parameter gradients are bitwise identical under
@@ -104,10 +104,11 @@ def descriptor_backward(cache: ForwardCache, upstream: np.ndarray) -> Gradients:
     slots only to feed MLP layers; no input gradient is formed, since the
     descriptor's inputs are raw points with no parameters upstream.
 
-    Each fill group's share of the aggregation gradient, its routing, its
+    Each fill group's part of the aggregation gradient, its routing, its
     canonical row order and the last layer's gradient rows are formed on
-    their own (see ``_for_each_group``); the sums over groups and the layer
-    products over all rows then run on the calling thread, in group order.
+    whichever thread takes the group (see ``_for_each_group``); the sums over
+    groups and the layer products over all rows then run on the calling
+    thread, in group order.
     """
     if cache is None:
         raise ValidationError("forward cache is missing; rerun forward with need_cache=True")

@@ -20,14 +20,14 @@ block of rows, where the padding rows of the dense sorted matrix would only
 add zero terms; a group of c-point cells uses the last c weight rows. Each
 group is embedded, sorted and combined as one unit, while its embedding is
 still in cache, which pays off when a batch has many fill levels, as a LiDAR
-scan has (about 32). Every forward runs one group function, the groups
-shared across the usable CPUs (``_for_each_group``); ``need_cache`` chooses
-only where it writes. A training forward writes each layer's output into
-the group's rows of the fill-major activations the backward reads. An
-inference forward gives each share scratch arrays, allocated once and sized
-for its largest group, and works every group in slices of them, so it holds
-the fill-major input rows, the features and one scratch set per share, never
-an embedding of every row.
+scan has (about 32). Every forward runs one group function, the usable
+CPUs taking the groups largest first from one queue (``_for_each_group``);
+``need_cache`` chooses only where it writes. A training forward writes each
+layer's output into the group's rows of the fill-major activations the
+backward reads. An inference forward gives each thread scratch arrays,
+allocated once and sized for the largest group, and works every group in
+slices of them, so it holds the fill-major input rows, the features and one
+scratch set per thread, never an embedding of every row.
 """
 
 from __future__ import annotations
@@ -310,55 +310,56 @@ def _group_workers() -> int:
 def _for_each_group(fn, groups: list[FillGroup], scratch=None) -> list:
     """``[fn(g) for g in groups]``, the groups shared across the usable CPUs.
 
-    Each share gets about as many rows as the others (largest group first, to
-    the share holding the fewest rows so far). Share 0 runs on the calling
-    thread and the rest on threads of their own, each under a copy of the
-    caller's context, so that an ``np.errstate`` in force still applies. Every
-    thread is joined before this returns; if any share failed, the error of
-    the lowest-numbered one is raised here. ``fn`` may write only to its own
-    group's rows, so the results are bitwise those of the serial loop as long
-    as the caller reduces them in group order. With ``scratch``, the calling
-    thread makes ``scratch(share_groups)`` once per share before any share
-    starts, so the workers allocate from no heap of their own, and each share
-    passes its result to every ``fn(group, result)`` it makes.
+    The calling thread and one thread per further CPU take the groups from
+    one queue, largest first (ties in group order), the next one under a lock
+    each time, until it is empty, so a thread that finishes a group early
+    takes more of the rest. The workers run under copies of the caller's
+    context, so that an ``np.errstate`` in force still applies. Every thread
+    is joined before this returns; once a group fails no thread takes
+    another, and the error of the lowest-indexed failed group is raised here.
+    ``fn`` may write only to its own group's rows, so the results are bitwise
+    those of the serial loop as long as the caller reduces them in group
+    order. With ``scratch``, the calling thread makes ``scratch()`` once per
+    thread before any worker starts, so the workers allocate from no heap of
+    their own, and each thread passes its set to every ``fn(group, set)`` it
+    makes.
     """
     if not groups:  # a batch of no cells
         return []
     workers = min(_group_workers(), len(groups)) if len(groups) > 1 else 1
+    states = [() if scratch is None else (scratch(),) for _ in range(workers)]
     if workers < 2:
-        state = () if scratch is None else (scratch(groups),)
-        return [fn(group, *state) for group in groups]
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    load = [0] * workers
-    for i in sorted(range(len(groups)), key=lambda i: -groups[i].rows):
-        share = load.index(min(load))
-        shares[share].append(i)
-        load[share] += groups[i].rows
+        return [fn(group, *states[0]) for group in groups]
+    queue = iter(sorted(range(len(groups)), key=lambda i: -groups[i].rows))
+    lock = threading.Lock()
     results: list = [None] * len(groups)
-    errors: list[BaseException | None] = [None] * workers
-    states = [() if scratch is None else (scratch([groups[i] for i in mine]),) for mine in shares]
+    errors: dict[int, BaseException] = {}
 
-    def run(share: int) -> None:
-        try:
-            for i in shares[share]:
-                results[i] = fn(groups[i], *states[share])
-        except BaseException as exc:  # raised again on the calling thread
-            errors[share] = exc
+    def run(state: tuple) -> None:
+        while True:
+            with lock:
+                i = None if errors else next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(groups[i], *state)
+            except BaseException as exc:  # raised again on the calling thread
+                with lock:
+                    errors[i] = exc
 
     threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, share))
-        for share in range(1, workers)
+        threading.Thread(target=contextvars.copy_context().run, args=(run, state))
+        for state in states[1:]
     ]
     for thread in threads:
         thread.start()
     try:
-        run(0)
+        run(states[0])
     finally:
         for thread in threads:
             thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:
+        raise errors[min(errors)]
     return results
 
 
@@ -640,8 +641,8 @@ def descriptor_forward(
     needed for the backward pass, plus each group's ranks when the backward
     routes gradients through the sort; pass ``need_cache=False`` on
     inference-only paths to skip it, and with it every array of one row per
-    point: each share then works its groups in place in scratch arrays
-    allocated once per call, sized for its largest group.
+    point: each thread then works its groups in place in scratch arrays
+    allocated once per call, sized for the largest group.
     """
     if kind not in DESCRIPTOR_KINDS:
         raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
@@ -668,18 +669,18 @@ def descriptor_forward(
     def w_rows(c: int) -> np.ndarray:
         return np.full(c, 1.0 / c) if kind == "mean" else weights.values[n - c :]
 
-    def share_scratch(share: list[FillGroup]) -> tuple:
-        """One share's buffers, sized for its largest group: each layer's
+    def thread_scratch() -> tuple:
+        """One thread's buffers, sized for the largest group: each layer's
         output rows (in training, the cache's arrays), the sort network's
         planes, and one row per cell, the network's spare plane and then the
         combined features."""
         # the network sorts no block of the max kind
         sorts = kind != "max"
-        networked = [g.rows for g in share if sorts and 1 < g.count <= _NETWORK_MAX_FILL]
+        networked = [g.rows for g in groups if sorts and 1 < g.count <= _NETWORK_MAX_FILL]
         return (
-            outputs if need_cache else [np.empty((max(g.rows for g in share), w)) for w in widths],
+            outputs if need_cache else [np.empty((max(g.rows for g in groups), w)) for w in widths],
             np.empty((max(networked, default=0), c_out)),
-            np.empty((max(g.cells.size for g in share), c_out)),
+            np.empty((max(g.cells.size for g in groups), c_out)),
         )
 
     def run_group(group: FillGroup, scratch: tuple) -> None:
@@ -706,7 +707,7 @@ def descriptor_forward(
                 group.values = values
         features[group.cells] = out
 
-    _for_each_group(run_group, groups, share_scratch)
+    _for_each_group(run_group, groups, thread_scratch)
     if not need_cache:
         return features, None
     cache = ForwardCache(

@@ -524,7 +524,9 @@ def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) ->
 
     ``coords`` must be unique, in-range map coordinates aligned with
     ``features`` rows; every untouched cell stays zero. The map is stored
-    cell-major, so no grid is allocated here, whatever its size.
+    cell-major, so no grid is allocated here, whatever its size. Coords
+    already in ascending row-major order, as ``build_cell_batch`` emits them,
+    are not sorted, and the map then holds ``features`` itself, not a copy.
     """
     features = np.asarray(features, dtype=np.float64)
     coords = _as_index(coords, "coords")
@@ -535,9 +537,10 @@ def scatter_to_grid(features: np.ndarray, coords: np.ndarray, spec: GridSpec) ->
         raise ValidationError(f"coords must have {len(dims)} columns for {spec.mode} mode")
     if (coords < 0).any() or (coords >= np.asarray(dims)).any():
         raise ValidationError("coords out of grid range")
-    flat = np.ravel_multi_index(tuple(coords.T), dims)
-    order = np.argsort(flat, kind="stable")
-    cells = flat[order]
-    if (cells[1:] == cells[:-1]).any():
-        raise ValidationError("duplicate cell coords")
-    return FeatureMap.from_cells(features[order], cells, dims + (features.shape[1],))
+    cells = np.ravel_multi_index(tuple(coords.T), dims)
+    if not (cells[1:] > cells[:-1]).all():  # strictly ascending cells are sorted and unique
+        order = np.argsort(cells, kind="stable")
+        cells, features = cells[order], features[order]
+        if (cells[1:] == cells[:-1]).any():
+            raise ValidationError("duplicate cell coords")
+    return FeatureMap.from_cells(features, cells, dims + (features.shape[1],))

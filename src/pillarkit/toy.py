@@ -197,6 +197,9 @@ class TrainConfig(Document):
             raise ValidationError(f"kind must be one of {DESCRIPTOR_KINDS}")
         if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValidationError("steps, batch_size, eval_every must be >= 1")
+        # the noise is drawn from [-agg_noise, agg_noise], whose width must be finite
+        if not (self.agg_noise >= 0.0 and np.isfinite(2.0 * self.agg_noise)):
+            raise ValidationError(f"agg_noise must be >= 0 and finite, got {self.agg_noise}")
         self.mlp_widths = tuple(int(w) for w in self.mlp_widths)
 
 
@@ -211,6 +214,7 @@ class EvalRecord:
     agg_distance_from_max_pool: float | None = None
     step_s: float | None = None  # mean wall time per step since the previous record
     grad_norm: dict[str, float] | None = None  # see grad_norms
+    stage_s: dict[str, float] | None = None  # seconds per TRAIN_STAGES entry since the last record
 
     def to_json(self) -> str:
         return json.dumps(
@@ -223,6 +227,7 @@ class EvalRecord:
                 "agg_distance_from_max_pool": self.agg_distance_from_max_pool,
                 "step_s": self.step_s,
                 "grad_norm": self.grad_norm,
+                "stage_s": self.stage_s,
             }
         )
 
@@ -401,6 +406,7 @@ def train_descriptor(
     records: list[EvalRecord] = []
     losses: list[float] = []
     stage_s = dict.fromkeys(TRAIN_STAGES, 0.0)
+    stage_record = dict(stage_s)
     t_start = t_record = clock = time.perf_counter()
 
     def lap(stage: str) -> None:
@@ -456,19 +462,14 @@ def train_descriptor(
 
             if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
                 step_s = (clock - t_record) / (step + 1 - step_record)
-                records.append(
-                    EvalRecord(
-                        step + 1,
-                        loss,
-                        metric_name,
-                        evaluate(model, dataset, dataset.val_idx),
-                        time.perf_counter() - t_start,
-                        *weight_readout(model.weights),
-                        step_s,
-                        grad_norms(grads),
-                    )
-                )
+                value = evaluate(model, dataset, dataset.val_idx)
+                readout, norms = weight_readout(model.weights), grad_norms(grads)
                 lap("eval")
+                # a record covers the laps since the previous one, its own evaluation included
+                laps = {name: stage_s[name] - stage_record[name] for name in TRAIN_STAGES}
+                records.append(EvalRecord(step + 1, loss, metric_name, value, clock - t_start,
+                                          *readout, step_s, norms, laps))
+                stage_record = dict(stage_s)
                 t_record, step_record = clock, step + 1
 
     if "theta" in flat.moments and flat.step > state.step:  # Adam ran: split its moments by name

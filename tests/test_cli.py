@@ -597,13 +597,23 @@ def test_train_toy_writes_outputs_for_both_kinds(tmp_path, small_grid_config):
             assert record["agg_distance_from_max_pool"] > 0.0
         else:
             assert record["agg_last_row_mass"] is record["agg_distance_from_max_pool"] is None
+        final = json.loads((out / "final.json").read_text())
+        previous_s = 0.0
         for line in lines:
             record = json.loads(line)
             assert np.isfinite(record["step_s"]) and record["step_s"] > 0.0
             assert set(record["grad_norm"]) == ({"agg", "head"} if kind == "weighted"
                                                 else {"head"})
             assert all(np.isfinite(v) for v in record["grad_norm"].values())
-        final = json.loads((out / "final.json").read_text())
+            # the laps since the previous record, its own evaluation included;
+            # they tile the interval up to the rounding of their differences
+            assert list(record["stage_s"]) == list(final["stage_s"])
+            assert min(record["stage_s"].values()) >= 0.0 and record["stage_s"]["eval"] > 0.0
+            interval = record["elapsed_s"] - previous_s
+            assert 0.0 < sum(record["stage_s"].values()) <= interval + 1e-9
+            previous_s = record["elapsed_s"]
+        for stage, total in final["stage_s"].items():  # every lap lands in one record
+            assert sum(json.loads(line)["stage_s"][stage] for line in lines) == pytest.approx(total)
         assert final["kind"] == kind
         assert list(final["stage_s"]) == ["batch", "forward", "backward", "optimizer", "eval"]
         assert 0.0 < sum(final["stage_s"].values()) <= final["wall_clock_s"]

@@ -13,6 +13,7 @@ layers alike, whether a training pass runs its fill groups on one thread or
 shares them across two.
 """
 
+import collections
 import os
 import subprocess
 import sys
@@ -376,42 +377,95 @@ def _groups(*counts):
     return groups
 
 
-def test_groups_are_shared_by_rows_and_results_keep_group_order():
-    callers = {}
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_each_group_runs_once_and_results_keep_group_order(workers):
+    groups = _groups(*np.random.default_rng(16).integers(1, 9, size=20))
+    runs = collections.Counter()
+    lock = threading.Lock()
 
     def fn(group):
-        callers[group.count] = threading.get_ident()
-        return group.count
+        with lock:
+            runs[group.start] += 1
+        return group.start
 
-    with _workers(2):
-        assert _for_each_group(fn, _groups(1, 2, 3)) == [1, 2, 3]
-    # the largest group stays on the calling thread; the other two balance it
-    assert callers[3] == threading.get_ident()
-    assert callers[1] == callers[2] != threading.get_ident()
-    callers.clear()
-    with _workers(1):
-        assert _for_each_group(fn, _groups(1, 2, 3)) == [1, 2, 3]
-    assert set(callers.values()) == {threading.get_ident()}
+    with _workers(workers):
+        assert _for_each_group(fn, groups) == [group.start for group in groups]
+    assert runs == {group.start: 1 for group in groups}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_largest_groups_are_taken_first(workers):
+    # each thread's first group waits until every thread has taken one, so
+    # the first groups run are the first taken, whichever thread took them
+    groups = _groups(4, 1, 4, 2, 5, 4)  # rows tie at fill 4: group order decides
+    barrier = threading.Barrier(workers, timeout=30)
+    first, lock = {}, threading.Lock()
+
+    def fn(group):
+        with lock:
+            new = first.setdefault(threading.get_ident(), group.start) == group.start
+        if new:
+            barrier.wait()
+
+    with _workers(workers):
+        _for_each_group(fn, groups)
+    largest = [groups[i].start for i in (4, 0, 2)[:workers]]
+    assert sorted(first.values()) == sorted(largest)
+
+
+def _held_until_a_worker_takes_a_group():
+    """A ``(hold, taken)`` pair: ``hold()`` on the calling thread waits until a
+    worker has called ``taken()``, so the caller cannot drain the queue first."""
+    event = threading.Event()
+
+    def hold():
+        assert threading.current_thread() is threading.main_thread()
+        assert event.wait(timeout=30)
+
+    return hold, event.set
 
 
 def test_an_error_inside_a_worker_reaches_the_caller():
+    hold, taken = _held_until_a_worker_takes_a_group()
+
     def fn(group):
-        if group.count == 1:  # on the worker thread, as the test above shows
-            raise ValueError("group of one")
-        return group.count
+        if threading.current_thread() is threading.main_thread():
+            return hold()
+        taken()
+        raise ValueError("group on a worker")
 
     before = threading.active_count()
-    with _workers(2), pytest.raises(ValueError, match="group of one"):
+    with _workers(2), pytest.raises(ValueError, match="group on a worker"):
         _for_each_group(fn, _groups(1, 2, 3))
     assert threading.active_count() == before
 
 
-def test_the_callers_errstate_applies_inside_a_worker():
+def test_the_lowest_indexed_failure_is_raised_and_no_group_is_taken_after_it():
+    groups = _groups(3, 1, 4)  # queued as 2, 0, 1
+    both_running = threading.Barrier(2, timeout=30)
+    ran = []
+
     def fn(group):
-        if group.count == 1:
-            assert threading.current_thread() is not threading.main_thread()
-            return np.ones(1) / np.zeros(1)
-        return None
+        ran.append(group.count)
+        both_running.wait()  # the two largest groups fail together
+        raise ValueError(f"group of {group.count}")
+
+    before = threading.active_count()
+    with _workers(2), _counting_threads(), pytest.raises(ValueError, match="group of 3"):
+        _for_each_group(fn, groups)
+    assert sorted(ran) == [3, 4]  # the group of 1 was never taken
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in _CountingThread.started)
+
+
+def test_the_callers_errstate_applies_inside_a_worker():
+    hold, taken = _held_until_a_worker_takes_a_group()
+
+    def fn(group):
+        if threading.current_thread() is threading.main_thread():
+            return hold()
+        taken()
+        return np.ones(1) / np.zeros(1)
 
     with _workers(2), np.errstate(all="raise"), pytest.raises(FloatingPointError):
         _for_each_group(fn, _groups(1, 2, 3))
@@ -459,11 +513,14 @@ def test_an_error_in_an_inference_share_reaches_the_caller():
     batch = _scan_like_batch(10)
     params = MlpParams.create(3, (6,), seed=10)
     sort_values = descriptor._sort_values
+    hold, taken = _held_until_a_worker_takes_a_group()
 
     def failing(block, *args):
-        if threading.current_thread() is not threading.main_thread():
-            raise ValueError("sort on a worker")
-        return sort_values(block, *args)
+        if threading.current_thread() is threading.main_thread():
+            hold()
+            return sort_values(block, *args)
+        taken()
+        raise ValueError("sort on a worker")
 
     before = threading.active_count()
     with _workers(2), mock.patch.object(descriptor, "_sort_values", failing), pytest.raises(
@@ -534,9 +591,10 @@ def test_max_inference_never_sorts(workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["weighted", "max", "mean"])
 def test_inference_allocates_one_scratch_set_per_share(workers, kind):
-    # each share allocates its scratch once, sized for its largest group, and
-    # works every group in slices of it: the peak is the fill-major rows, the
-    # features and one scratch set per worker, whatever the number of groups
+    # each thread's scratch is allocated once, sized for the largest group,
+    # and every group is worked in slices of it: the peak is the fill-major
+    # rows, the features and one scratch set per thread, whatever the number
+    # of groups
     n, c_out = 32, 64
     rng = np.random.default_rng(15)
     counts = rng.permutation(np.repeat(np.arange(1, n + 1), 125))  # 4,000 cells
@@ -564,7 +622,7 @@ def test_inference_allocates_one_scratch_set_per_share(workers, kind):
 
 
 def test_more_workers_than_cores_switching_often_give_the_serial_bits():
-    # every share writes its own groups' rows and results; a lost or misplaced
+    # every group writes its own rows and results; a lost or misplaced
     # write under frequent thread switches would change a digest
     rng = np.random.default_rng(9)
     counts = rng.integers(1, 17, size=300)

@@ -220,6 +220,26 @@ def test_scatter_rejects_duplicates_and_out_of_range():
         scatter_to_grid(np.zeros((1, 1)), np.array([[0.5, 0.0]]), spec)  # would truncate to (0, 0)
 
 
+def test_scatter_of_sorted_and_shuffled_coords_gives_the_same_map(tmp_path):
+    spec = small_pillar_spec()
+    rng = np.random.default_rng(6)
+    flat = np.sort(rng.choice(100, size=30, replace=False))
+    coords = np.stack(np.unravel_index(flat, spec.grid_shape), axis=1)
+    features = rng.standard_normal((30, 4))
+    features[::7] = -0.0
+    shuffle = rng.permutation(30)
+    ascending = scatter_to_grid(features, coords, spec)
+    shuffled = scatter_to_grid(features[shuffle], coords[shuffle], spec)
+    assert ascending.features is features  # ascending coords are not sorted again
+    blobs = [fmap.save(tmp_path / name)[0].read_bytes()
+             for fmap, name in ((ascending, "ascending"), (shuffled, "shuffled"))]
+    assert blobs[0] == blobs[1]
+    assert ascending.values.tobytes() == shuffled.values.tobytes()
+    for dup in (coords[[0, 0, 1]], coords[[0, 1, 0]], coords[[1, 2, 2]]):
+        with pytest.raises(ValidationError, match="duplicate cell coords"):
+            scatter_to_grid(np.zeros((3, 4)), dup, spec)
+
+
 def test_feature_map_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     fmap = FeatureMap(rng.standard_normal((4, 6, 3)))

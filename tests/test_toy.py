@@ -384,3 +384,11 @@ def test_spec_validation():
         ToyTaskSpec(val_fraction=1.5)
     with pytest.raises(ValidationError):
         TrainConfig(steps=0)
+
+
+@pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf"), 1e308])
+def test_agg_noise_whose_draw_range_is_not_finite_is_refused(noise):
+    # numpy's uniform draw over [-noise, noise] would raise outside a ValidationError
+    with pytest.raises(ValidationError, match="agg_noise"):
+        TrainConfig(agg_noise=noise)
+    TrainConfig(agg_noise=8e307)  # a finite width of 1.6e308
